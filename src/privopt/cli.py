@@ -85,7 +85,10 @@ def _resolve_precision(args) -> int:
         if args.precision < 1:
             raise UsageError("--precision must be a positive integer")
         return args.precision
-    return default_precision()
+    try:
+        return default_precision()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _parse_alpha(text: str) -> PrivacyLevel:
@@ -202,10 +205,7 @@ def _cmd_analyze(args) -> int:
         derived = analysis.derive_remap_from_constraint_matrix(cm, acc)
         data["derived_remap"] = {str(s): t
                                  for s, t in sorted(derived.as_map().items())}
-    if args.out:
-        serialize.write_json(args.out, data)
-    else:
-        sys.stdout.write(serialize.dumps(data))
+    _emit(data, args.out)
     return 0
 
 

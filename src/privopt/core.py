@@ -4,7 +4,8 @@ A mechanism over results 0..n is a row-stochastic matrix: row i is the
 response distribution published when the true count is i. Everything here
 is exact rational arithmetic (fractions.Fraction); loss values that are
 irrational (fractional-exponent power losses) are realized as Decimals at
-a configurable precision instead.
+a configurable precision instead. LossTable is the one place that picks
+between the two: every loss-weighted sum in the package goes through it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ def default_precision() -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
         return DEFAULT_PRECISION
-    digits = int(raw)
+    try:
+        digits = int(raw)
+    except ValueError:
+        digits = 0  # rejected below with the same message as "0"
     if digits < 1:
         raise ValueError(f"{PRECISION_ENV_VAR} must be a positive integer, got {raw!r}")
     return digits
@@ -284,9 +288,7 @@ class LossFunction:
                               "is irrational; use hp_value")
 
     def hp_value(self, i: int, r: int, ctx: decimal.Context) -> Decimal:
-        """l(i, r) as a Decimal under ctx; exact kinds convert exactly."""
-        if self.is_exact:
-            return to_decimal(self.exact_value(i, r), ctx)
+        """l(i, r) of an irrational power loss as a Decimal under ctx."""
         base = abs(i - r)
         p = self.exponent
         if base == 0:
@@ -299,10 +301,47 @@ class LossFunction:
             return ctx.sqrt(powered)
         return ctx.power(powered, ctx.divide(Decimal(1), Decimal(p.denominator)))
 
-    def value(self, i: int, r: int, ctx: decimal.Context | None = None) -> Number:
-        if self.is_exact:
-            return self.exact_value(i, r)
-        return self.hp_value(i, r, ctx if ctx is not None else hp_context())
+
+class LossTable:
+    """The values l(i, r) of one loss function, each evaluated once.
+
+    Built-in kinds depend on |i - r| only and are cached per distance,
+    tabulated losses per cell. Values are Fractions for rational losses
+    and Decimals at `digits` (default_precision() when None) otherwise.
+    This class is the only code that picks between the two arithmetics.
+    """
+
+    def __init__(self, loss: LossFunction, digits: int | None = None):
+        self.loss = loss
+        self.exact = loss.is_exact
+        self.ctx = hp_context(digits)
+        self._per_cell = loss.kind == "tabulated"
+        self._values: dict = {}
+
+    def __call__(self, i: int, r: int) -> Number:
+        key = (i, r) if self._per_cell else abs(i - r)
+        v = self._values.get(key)
+        if v is None:
+            v = (self.loss.exact_value(i, r) if self.exact
+                 else self.loss.hp_value(i, r, self.ctx))
+            self._values[key] = v
+        return v
+
+    def weighted_sum(self, pairs) -> Number:
+        """Sum of w * v over (exact weight, value) pairs, in order.
+
+        Exact for rational losses. Otherwise each weight is converted to
+        a Decimal and every product and partial sum is rounded under ctx.
+        Callers leave out zero weights, so that they look up no value for
+        them and the Decimal rounding sequence stays the same.
+        """
+        if self.exact:
+            return sum((w * v for w, v in pairs), Fraction(0))
+        ctx = self.ctx
+        total = Decimal(0)
+        for w, v in pairs:
+            total = ctx.add(total, ctx.multiply(to_decimal(w, ctx), v))
+        return total
 
 
 @dataclass(frozen=True)
@@ -400,25 +439,8 @@ def expected_loss(m: Mechanism, u: UserModel,
         raise StructuralError(
             f"prior covers {len(u.prior)} results, mechanism has {m.n + 1}"
         )
-    if u.loss.is_exact:
-        total = Fraction(0)
-        for i, row in enumerate(m.rows):
-            p = u.prior[i]
-            if p == 0:
-                continue
-            for k, r in enumerate(m.responses):
-                if row[k]:
-                    total += p * row[k] * u.loss.exact_value(i, r)
-        return total
-    ctx = hp_context(digits)
-    total = Decimal(0)
-    for i, row in enumerate(m.rows):
-        p = u.prior[i]
-        if p == 0:
-            continue
-        for k, r in enumerate(m.responses):
-            if row[k]:
-                weight = p * row[k]
-                total = ctx.add(total, ctx.multiply(to_decimal(weight, ctx),
-                                                    u.loss.hp_value(i, r, ctx)))
-    return total
+    table = LossTable(u.loss, digits)
+    return table.weighted_sum(
+        (p * row[k], table(i, r))
+        for i, (p, row) in enumerate(zip(u.prior, m.rows)) if p
+        for k, r in enumerate(m.responses) if row[k])

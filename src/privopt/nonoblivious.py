@@ -15,19 +15,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .core import (
     DPReport,
+    LossTable,
     Mechanism,
     Number,
     PrivacyLevel,
     StochasticityReport,
     StructuralError,
     UserModel,
-    hp_context,
-    to_decimal,
 )
 from .mechanisms import truncated_geometric
 from .simplex import EQ, LE, Constraint, SimplexResult, solve_lp, verify_farkas
@@ -201,34 +199,16 @@ def worst_case_expected_loss(x: FullMechanism, u: UserModel,
         space = x.space
     if u.n != space.rows:
         raise StructuralError(f"user has n={u.n}, space has n={space.rows}")
-    exact = u.loss.is_exact
-    if exact:
-        def row_loss(j, i):
-            return sum(x.rows[j][k] * u.loss.exact_value(i, r)
-                       for k, r in enumerate(x.responses))
-        total = Fraction(0)
-        for i, members in enumerate(space.classes()):
-            if u.prior[i] == 0:
-                continue
-            total += u.prior[i] * max(row_loss(j, i) for j in members)
-        return total
-    ctx = hp_context(digits)
+    table = LossTable(u.loss, digits)
 
     def row_loss(j, i):
-        acc = Decimal(0)
-        for k, r in enumerate(x.responses):
-            if x.rows[j][k]:
-                acc = ctx.add(acc, ctx.multiply(to_decimal(x.rows[j][k], ctx),
-                                                u.loss.hp_value(i, r, ctx)))
-        return acc
+        row = x.rows[j]
+        return table.weighted_sum((row[k], table(i, r))
+                                  for k, r in enumerate(x.responses) if row[k])
 
-    total = Decimal(0)
-    for i, members in enumerate(space.classes()):
-        if u.prior[i] == 0:
-            continue
-        worst = max(row_loss(j, i) for j in members)
-        total = ctx.add(total, ctx.multiply(to_decimal(u.prior[i], ctx), worst))
-    return total
+    return table.weighted_sum(
+        (u.prior[i], max(row_loss(j, i) for j in members))
+        for i, members in enumerate(space.classes()) if u.prior[i])
 
 
 _TRACKED = ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))

@@ -20,13 +20,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .core import (
+    LossTable,
     Mechanism,
     Number,
     PrivacyLevel,
     StructuralError,
     UserModel,
     expected_loss,
-    hp_context,
     to_decimal,
 )
 from .simplex import LE, Constraint, SimplexResult, solve_lp
@@ -100,19 +100,12 @@ def build_lp(u: UserModel, a: PrivacyLevel, n: int | None = None,
         raise StructuralError(f"prior covers results 0..{u.n}, asked for n={n}")
     if n < 1:
         raise StructuralError("need at least two results (n >= 1)")
-    ctx = hp_context(digits)
-    exact = u.loss.is_exact
-    objective = []
-    for i in range(n + 1):
-        row = []
-        for r in range(n + 1):
-            if exact:
-                row.append(u.prior[i] * u.loss.exact_value(i, r))
-            else:
-                row.append(u.prior[i] * Fraction(u.loss.hp_value(i, r, ctx)))
-        objective.append(tuple(row))
-    return UserLP(user=u, level=a, n=n, objective=tuple(objective),
-                  objective_exact=exact, digits=ctx.prec)
+    table = LossTable(u.loss, digits)
+    objective = tuple(tuple(u.prior[i] * Fraction(table(i, r))
+                            for r in range(n + 1))
+                      for i in range(n + 1))
+    return UserLP(user=u, level=a, n=n, objective=objective,
+                  objective_exact=u.loss.is_exact, digits=table.ctx.prec)
 
 
 def _reduced_constraints(n: int, alpha: Fraction):
@@ -176,62 +169,6 @@ def tight_set(m: Mechanism, a: PrivacyLevel) -> TightSet:
             if alpha * col[i] == col[i + 1]:
                 down.append((i, r))
     return TightSet(n=m.n, up=tuple(up), down=tuple(down), zero=tuple(zero))
-
-
-def tight_rank(ts: TightSet, a: PrivacyLevel) -> int:
-    """Rank of the active constraint rows at a concrete privacy level."""
-    n = ts.n
-    alpha = a.alpha
-    width = (n + 1) ** 2
-    rows = []
-    for i, r in ts.zero:
-        v = [Fraction(0)] * width
-        v[i * (n + 1) + r] = Fraction(1)
-        rows.append(v)
-    for i in range(n + 1):
-        v = [Fraction(0)] * width
-        for r in range(n + 1):
-            v[i * (n + 1) + r] = Fraction(1)
-        rows.append(v)
-    for i, r in ts.up:
-        v = [Fraction(0)] * width
-        v[i * (n + 1) + r] = Fraction(1)
-        v[(i + 1) * (n + 1) + r] = -alpha
-        rows.append(v)
-    for i, r in ts.down:
-        v = [Fraction(0)] * width
-        v[i * (n + 1) + r] = alpha
-        v[(i + 1) * (n + 1) + r] = Fraction(-1)
-        rows.append(v)
-    return _rank(rows)
-
-
-def _rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    col = 0
-    while col < width and rank < len(rows):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
 
 
 def solve_vertex(lp: UserLP) -> VertexSolution:
@@ -303,17 +240,16 @@ def _certify_true_objective(lp: UserLP, res: SimplexResult) -> tuple[bool, int]:
     objective. Slack columns carry zero cost; y columns carry
     p_i (l(i,r) - l(i,n)) evaluated freshly at high precision."""
     n = lp.n
-    ctx = hp_context(lp.digits)
-    u = lp.user
+    table = LossTable(lp.user.loss, lp.digits)
+    ctx = table.ctx
+    prior = lp.user.prior
 
     def true_cost(j: int) -> Decimal:
         if j >= n * (n + 1):
             return Decimal(0)
         i, r = divmod(j, n)
-        p = to_decimal(u.prior[i], ctx)
-        li = u.loss.hp_value(i, r, ctx)
-        ln = u.loss.hp_value(i, n, ctx)
-        return ctx.multiply(p, ctx.subtract(li, ln))
+        return ctx.multiply(to_decimal(prior[i], ctx),
+                            ctx.subtract(table(i, r), table(i, n)))
 
     basis = res.basis
     basic = set(basis)

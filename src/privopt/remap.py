@@ -2,83 +2,23 @@
 
 A user remaps published responses to results she finds more useful. For a
 known mechanism and prior the best remap is deterministic: send each
-response to a result minimizing the posterior expected loss. The brute
-force searcher exists as an independent check, not for production use.
+response to a result minimizing the posterior expected loss. One
+LossTable per call supplies every loss value, so each is evaluated once.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
-
-from .core import (
-    CapacityError,
-    Mechanism,
-    Number,
-    Remap,
-    StructuralError,
-    UserModel,
-    compose,
-    expected_loss,
-    hp_context,
-    to_decimal,
-)
+from .core import LossTable, Mechanism, Remap, UserModel
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """Per-response posteriors p(i | r); None marks unreachable responses
-    (zero marginal probability under the user's prior)."""
-
-    responses: tuple[int, ...]
-    marginals: tuple[Fraction, ...]
-    by_response: tuple[tuple[Fraction, ...] | None, ...]
-
-
-def posterior(x: Mechanism, u: UserModel) -> Posterior:
-    """Exact posterior over results for each response of x under u."""
-    if len(u.prior) != x.n + 1:
-        raise StructuralError(
-            f"prior covers {len(u.prior)} results, mechanism has {x.n + 1}"
-        )
-    marginals = []
-    dists = []
-    for k in range(len(x.responses)):
-        col = x.column(k)
-        weights = tuple(p * c for p, c in zip(u.prior, col))
-        total = sum(weights)
-        marginals.append(total)
-        if total == 0:
-            dists.append(None)
-        else:
-            dists.append(tuple(w / total for w in weights))
-    return Posterior(responses=x.responses, marginals=tuple(marginals),
-                     by_response=tuple(dists))
-
-
-def _target_costs(x: Mechanism, u: UserModel, k: int,
-                  digits: int | None):
+def _target_costs(x: Mechanism, u: UserModel, k: int, table: LossTable):
     """Unnormalized posterior expected losses of answering t on response
     column k: sum_i p_i x[i][k] l(i, t). Shares the argmin with the
     normalized version and avoids a needless division."""
     weights = [p * row[k] for p, row in zip(u.prior, x.rows)]
-    n = x.n
-    if u.loss.is_exact:
-        return [sum((w * u.loss.exact_value(i, t)
-                     for i, w in enumerate(weights) if w), Fraction(0))
-                for t in range(n + 1)]
-    ctx = hp_context(digits)
-    out = []
-    for t in range(n + 1):
-        acc = Decimal(0)
-        for i, w in enumerate(weights):
-            if w:
-                acc = ctx.add(acc, ctx.multiply(to_decimal(w, ctx),
-                                                u.loss.hp_value(i, t, ctx)))
-        out.append(acc)
-    return out
+    return [table.weighted_sum((w, table(i, t))
+                               for i, w in enumerate(weights) if w)
+            for t in range(x.n + 1)]
 
 
 def optimal_remap(x: Mechanism, u: UserModel,
@@ -88,51 +28,14 @@ def optimal_remap(x: Mechanism, u: UserModel,
     Ties go to the smallest result index; unreachable responses go to 0.
     """
     n = x.n
+    table = LossTable(u.loss, digits)
     mapping = []
     for k in range(len(x.responses)):
         if all(p * row[k] == 0 for p, row in zip(u.prior, x.rows)):
             mapping.append(0)
             continue
-        costs = _target_costs(x, u, k, digits)
+        costs = _target_costs(x, u, k, table)
         best = min(range(n + 1), key=lambda t: (costs[t], t))
         mapping.append(best)
     return Remap.from_map(mapping, sources=x.responses,
                           targets=tuple(range(n + 1)))
-
-
-def brute_force_optimal_remap(x: Mechanism, u: UserModel,
-                              digits: int | None = None,
-                              limit: int = 10 ** 7) -> tuple[Remap, Number]:
-    """Exhaustive search over all deterministic remaps into 0..n.
-
-    Returns a loss-minimizing remap and its loss. Guarded: (n+1)^|R|
-    candidates beyond `limit` raise CapacityError instead of burning the
-    machine. Intended as an oracle for small instances.
-    """
-    n = x.n
-    k = len(x.responses)
-    count = (n + 1) ** k
-    if count > limit:
-        raise CapacityError(
-            f"{count} candidate remaps exceed the enumeration limit {limit}"
-        )
-    cost = [_target_costs(x, u, j, digits) for j in range(k)]
-    ctx = None if u.loss.is_exact else hp_context(digits)
-    best_map = None
-    best_total = None
-    for candidate in itertools.product(range(n + 1), repeat=k):
-        if ctx is None:
-            total = sum((cost[j][t] for j, t in enumerate(candidate)),
-                        Fraction(0))
-        else:
-            total = Decimal(0)
-            for j, t in enumerate(candidate):
-                total = ctx.add(total, cost[j][t])
-        if best_total is None or total < best_total:
-            best_total = total
-            best_map = candidate
-    remap = Remap.from_map(best_map, sources=x.responses,
-                           targets=tuple(range(n + 1)))
-    # recompute through the composition so the reported loss is the
-    # plain definition, not the table shortcut
-    return remap, expected_loss(compose(remap, x), u, digits)

@@ -45,3 +45,27 @@ def endpoint_user(n: int, kind: str = "binary") -> UserModel:
     prior[0] = F(1, 2)
     prior[n] = F(1, 2)
     return UserModel(prior=tuple(prior), loss=LossFunction(kind=kind))
+
+# Exact str() of three irrational losses at 64 digits. Other tests compare
+# irrational losses only within 1e-30; these also catch a change in the
+# order of the Decimal roundings.
+BENCHMARK_VERTEX_LOSS = (
+    "1.194232155316291912540873026844952008357289650909520849876197828")
+
+# power-1/2 user at n = 12 with prior weights 1..13; loss of the truncated
+# geometric mechanism (alpha 1/2) after the user's optimal remap
+RAMP_USER_12 = UserModel(
+    prior=tuple(F(k + 1, 91) for k in range(13)),
+    loss=LossFunction(kind="power", exponent=F(1, 2)),
+)
+RAMP_USER_12_REMAPPED_LOSS = (
+    "0.7932395215741042859101291709802221745561073642841276743601276550")
+
+# power-3/2 user at n = 3; worst-case loss of the truncated geometric
+# mechanism (alpha 1/2) lifted to the databases of binary_space(3)
+LIFT_USER_3 = UserModel(
+    prior=(F(1, 8), F(3, 8), F(1, 4), F(1, 4)),
+    loss=LossFunction(kind="power", exponent=F(3, 2)),
+)
+LIFT_USER_3_WORST_LOSS = (
+    "0.9203959363522954886519887906563020973468407921259799536989160000")

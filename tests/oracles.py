@@ -9,12 +9,27 @@ instead of per-class maxima. Slower and dumber on purpose.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 import sympy
 
-from privopt.core import Mechanism, PrivacyLevel, UserModel, hp_context
+from privopt.core import (
+    CapacityError,
+    LossTable,
+    Mechanism,
+    Number,
+    PrivacyLevel,
+    Remap,
+    StructuralError,
+    UserModel,
+    compose,
+    expected_loss,
+    hp_context,
+)
+from privopt.optlp import TightSet
+from privopt.remap import _target_costs
 
 
 def sym_noise_pmf(alpha, z):
@@ -242,3 +257,129 @@ def adversarial_worst_loss(x, u: UserModel, space, digits: int = 64):
         if best is None or total > best:
             best = total
     return best
+
+
+@dataclass(frozen=True)
+class Posterior:
+    """Per-response posteriors p(i | r); None marks unreachable responses
+    (zero marginal probability under the user's prior)."""
+
+    responses: tuple[int, ...]
+    marginals: tuple[Fraction, ...]
+    by_response: tuple[tuple[Fraction, ...] | None, ...]
+
+
+def posterior(x: Mechanism, u: UserModel) -> Posterior:
+    """Exact posterior over results for each response of x under u."""
+    if len(u.prior) != x.n + 1:
+        raise StructuralError(
+            f"prior covers {len(u.prior)} results, mechanism has {x.n + 1}"
+        )
+    marginals = []
+    dists = []
+    for k in range(len(x.responses)):
+        col = x.column(k)
+        weights = tuple(p * c for p, c in zip(u.prior, col))
+        total = sum(weights)
+        marginals.append(total)
+        if total == 0:
+            dists.append(None)
+        else:
+            dists.append(tuple(w / total for w in weights))
+    return Posterior(responses=x.responses, marginals=tuple(marginals),
+                     by_response=tuple(dists))
+
+
+def brute_force_optimal_remap(x: Mechanism, u: UserModel,
+                              digits: int | None = None,
+                              limit: int = 10 ** 7) -> tuple[Remap, Number]:
+    """Exhaustive search over all deterministic remaps into 0..n.
+
+    Returns a loss-minimizing remap and its loss. Guarded: (n+1)^|R|
+    candidates beyond `limit` raise CapacityError instead of burning the
+    machine. Intended as an oracle for small instances.
+    """
+    n = x.n
+    k = len(x.responses)
+    count = (n + 1) ** k
+    if count > limit:
+        raise CapacityError(
+            f"{count} candidate remaps exceed the enumeration limit {limit}"
+        )
+    table = LossTable(u.loss, digits)
+    cost = [_target_costs(x, u, j, table) for j in range(k)]
+    ctx = None if u.loss.is_exact else table.ctx
+    best_map = None
+    best_total = None
+    for candidate in itertools.product(range(n + 1), repeat=k):
+        if ctx is None:
+            total = sum((cost[j][t] for j, t in enumerate(candidate)),
+                        Fraction(0))
+        else:
+            total = Decimal(0)
+            for j, t in enumerate(candidate):
+                total = ctx.add(total, cost[j][t])
+        if best_total is None or total < best_total:
+            best_total = total
+            best_map = candidate
+    remap = Remap.from_map(best_map, sources=x.responses,
+                           targets=tuple(range(n + 1)))
+    # recompute through the composition so the reported loss is the
+    # plain definition, not the table shortcut
+    return remap, expected_loss(compose(remap, x), u, digits)
+
+
+def tight_rank(ts: TightSet, a: PrivacyLevel) -> int:
+    """Rank of the active constraint rows at a concrete privacy level."""
+    n = ts.n
+    alpha = a.alpha
+    width = (n + 1) ** 2
+    rows = []
+    for i, r in ts.zero:
+        v = [Fraction(0)] * width
+        v[i * (n + 1) + r] = Fraction(1)
+        rows.append(v)
+    for i in range(n + 1):
+        v = [Fraction(0)] * width
+        for r in range(n + 1):
+            v[i * (n + 1) + r] = Fraction(1)
+        rows.append(v)
+    for i, r in ts.up:
+        v = [Fraction(0)] * width
+        v[i * (n + 1) + r] = Fraction(1)
+        v[(i + 1) * (n + 1) + r] = -alpha
+        rows.append(v)
+    for i, r in ts.down:
+        v = [Fraction(0)] * width
+        v[i * (n + 1) + r] = alpha
+        v[(i + 1) * (n + 1) + r] = Fraction(-1)
+        rows.append(v)
+    return _rank(rows)
+
+
+def _rank(rows) -> int:
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    width = len(rows[0])
+    rank = 0
+    col = 0
+    while col < width and rank < len(rows):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = 1 / prow[col]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        rank += 1
+        col += 1
+    return rank

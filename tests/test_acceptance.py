@@ -50,7 +50,7 @@ from privopt.nonoblivious import (
     worst_case_expected_loss,
 )
 from privopt.optlp import optimal_mechanism_for_user
-from privopt.remap import brute_force_optimal_remap, optimal_remap
+from privopt.remap import optimal_remap
 from privopt.simplex import verify_farkas
 
 from goldens import (
@@ -60,7 +60,7 @@ from goldens import (
     BENCHMARK_VERTEX,
     endpoint_user,
 )
-from oracles import adversarial_worst_loss, agree
+from oracles import adversarial_worst_loss, agree, brute_force_optimal_remap
 
 TOL = F(1, 10 ** 30)
 SWEEP_ALPHAS = (F(1, 4), F(1, 2), F(3, 4))

@@ -20,7 +20,13 @@ from privopt import (
 )
 from privopt.core import format_rational, hp_context, parse_rational, to_decimal
 
-from goldens import ALPHA_HALF, BENCHMARK_VERTEX, endpoint_user
+from goldens import (
+    ALPHA_HALF,
+    BENCHMARK_USER,
+    BENCHMARK_VERTEX,
+    BENCHMARK_VERTEX_LOSS,
+    endpoint_user,
+)
 
 
 def identity_mechanism(n):
@@ -134,6 +140,10 @@ class TestExpectedLoss:
                       loss=LossFunction(kind="power", exponent=F(3, 2)))
         v = expected_loss(truncated_geometric(ALPHA_HALF, 1), u)
         assert isinstance(v, Decimal)
+
+    def test_power_loss_digits_pinned(self):
+        m = Mechanism(n=5, responses=tuple(range(6)), rows=BENCHMARK_VERTEX)
+        assert str(expected_loss(m, BENCHMARK_USER, 64)) == BENCHMARK_VERTEX_LOSS
 
     def test_prior_length_mismatch(self):
         u = UserModel(prior=(F(1, 2), F(1, 2)), loss=LossFunction(kind="binary"))

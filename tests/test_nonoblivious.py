@@ -33,7 +33,7 @@ from privopt.nonoblivious import (
 )
 from privopt.simplex import solve_lp
 
-from goldens import ALPHA_HALF
+from goldens import ALPHA_HALF, LIFT_USER_3, LIFT_USER_3_WORST_LOSS
 from oracles import adversarial_worst_loss, agree
 
 TOL = F(1, 10 ** 30)
@@ -159,6 +159,11 @@ class TestWorstCaseLoss:
                       loss=LossFunction(kind="absolute"))
         got = worst_case_expected_loss(x, u)
         assert agree(got, adversarial_worst_loss(x, u, sp), TOL)
+
+    def test_power_loss_digits_pinned(self):
+        x = lift(truncated_geometric(ALPHA_HALF, 3), binary_space(3))
+        got = worst_case_expected_loss(x, LIFT_USER_3, digits=64)
+        assert str(got) == LIFT_USER_3_WORST_LOSS
 
 
 class TestTwoUserInstance:

@@ -19,10 +19,10 @@ from privopt import (
     truncated_geometric,
 )
 from privopt.analysis import random_user
-from privopt.optlp import build_lp, solve_vertex, tight_rank, tight_set
+from privopt.optlp import build_lp, solve_vertex, tight_set
 
 from goldens import ALPHA_HALF, BENCHMARK_USER, BENCHMARK_VERTEX, endpoint_user
-from oracles import agree, enumerate_vertices
+from oracles import agree, enumerate_vertices, tight_rank
 
 TOL = F(1, 10 ** 30)
 

@@ -21,7 +21,6 @@ from privopt import (
     truncated_geometric,
 )
 from privopt.mechanisms import geometric_pmf, geometric_tail
-from privopt.remap import posterior
 from privopt.serialize import (
     mechanism_from_jsonable,
     mechanism_to_jsonable,
@@ -30,6 +29,8 @@ from privopt.serialize import (
     user_from_jsonable,
     user_to_jsonable,
 )
+
+from oracles import posterior
 
 alphas = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
                       max_denominator=24)

@@ -16,11 +16,23 @@ from privopt import (
     truncated_geometric,
 )
 from privopt.analysis import random_user
-from privopt.remap import brute_force_optimal_remap, optimal_remap, posterior
+from privopt.remap import optimal_remap
 from privopt.simplex import EQ, Constraint, solve_lp
 
-from goldens import ALPHA_HALF, BENCHMARK_DERIVED_MAP, BENCHMARK_USER, endpoint_user
-from oracles import agree, exhaustive_remap_loss
+from goldens import (
+    ALPHA_HALF,
+    BENCHMARK_DERIVED_MAP,
+    BENCHMARK_USER,
+    RAMP_USER_12,
+    RAMP_USER_12_REMAPPED_LOSS,
+    endpoint_user,
+)
+from oracles import (
+    agree,
+    brute_force_optimal_remap,
+    exhaustive_remap_loss,
+    posterior,
+)
 
 TOL = F(1, 10 ** 30)
 
@@ -107,6 +119,29 @@ class TestOptimalRemap:
         m = Mechanism(n=1, responses=(0, 1), rows=rows)
         u = UserModel(prior=(F(1, 2), F(1, 2)), loss=LossFunction(kind="binary"))
         assert optimal_remap(m, u).as_map() == {0: 0, 1: 0}
+
+
+class TestLossValues:
+    def test_power_loss_digits_pinned(self):
+        g = truncated_geometric(ALPHA_HALF, 12)
+        y = optimal_remap(g, RAMP_USER_12, 64)
+        got = expected_loss(compose(y, g), RAMP_USER_12, 64)
+        assert str(got) == RAMP_USER_12_REMAPPED_LOSS
+
+    def test_each_loss_value_evaluated_once(self, monkeypatch):
+        calls = []
+        hp_value = LossFunction.hp_value
+
+        def counting(self, i, r, ctx):
+            calls.append((i, r))
+            return hp_value(self, i, r, ctx)
+
+        monkeypatch.setattr(LossFunction, "hp_value", counting)
+        n = 10
+        u = UserModel(prior=tuple(F(1, n + 1) for _ in range(n + 1)),
+                      loss=LossFunction(kind="power", exponent=F(3, 2)))
+        optimal_remap(truncated_geometric(ALPHA_HALF, n), u)
+        assert 0 < len(calls) <= n + 1
 
 
 class TestBruteForceAgreement:
