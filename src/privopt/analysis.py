@@ -260,8 +260,7 @@ def derive_remap_from_constraint_matrix(c: ConstraintMatrix,
             mapping[src] = c.responses[k]
     if any(t is None for t in mapping):
         raise StructuralError("derived remap does not cover every response")
-    return Remap.from_map(mapping, sources=tuple(range(n + 1)),
-                          targets=c.responses)
+    return Remap(tuple(range(n + 1)), c.responses, mapping)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import decimal
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Union
 
 Rational = Fraction
 Number = Union[Fraction, Decimal]
@@ -138,54 +138,31 @@ class Mechanism:
 
 @dataclass(frozen=True)
 class Remap:
-    """Row-stochastic post-processing map from source responses to targets.
+    """Deterministic post-processing map from source responses to targets.
 
-    rows[j][k] is the probability that source response sources[j] is
-    republished as targets[k]. deterministic is derived, not supplied.
+    Source response sources[j] is republished as mapping[j], one of the
+    targets. The Bayes-optimal remap is always of this form, and so is
+    every remap that factors an optimal vertex through the geometric
+    mechanism.
     """
 
     sources: tuple[int, ...]
     targets: tuple[int, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    deterministic: bool = field(init=False)
+    mapping: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "targets", tuple(self.targets))
-        rows = tuple(tuple(_as_fraction(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != len(self.sources):
-            raise StructuralError("one row per source response required")
-        for j, row in enumerate(rows):
-            if len(row) != len(self.targets):
-                raise StructuralError(f"row {j} does not match the target set")
-            if any(v < 0 for v in row):
-                raise StructuralError("remap probabilities must be nonnegative")
-            if sum(row) != 1:
-                raise StructuralError(f"remap row {j} must sum to 1")
-        det = all(sorted(row) == [Fraction(0)] * (len(self.targets) - 1) + [Fraction(1)]
-                  for row in rows) if self.targets else False
-        object.__setattr__(self, "deterministic", det)
-
-    @staticmethod
-    def from_map(mapping: Sequence[int], sources: Sequence[int],
-                 targets: Sequence[int]) -> "Remap":
-        """Deterministic remap sending sources[j] to mapping[j]."""
-        targets = tuple(targets)
-        rows = []
-        for tgt in mapping:
-            if tgt not in targets:
+        object.__setattr__(self, "mapping", tuple(self.mapping))
+        if len(self.mapping) != len(self.sources):
+            raise StructuralError("one target per source response required")
+        allowed = set(self.targets)
+        for tgt in self.mapping:
+            if tgt not in allowed:
                 raise StructuralError(f"target {tgt} outside the target set")
-            rows.append(tuple(Fraction(1) if t == tgt else Fraction(0) for t in targets))
-        return Remap(tuple(sources), targets, tuple(rows))
 
     def as_map(self) -> dict[int, int]:
-        if not self.deterministic:
-            raise StructuralError("remap is randomized; no single-valued map exists")
-        out = {}
-        for src, row in zip(self.sources, self.rows):
-            out[src] = self.targets[row.index(Fraction(1))]
-        return out
+        return dict(zip(self.sources, self.mapping))
 
 
 _LOSS_KINDS = ("absolute", "squared", "binary", "power", "tabulated")
@@ -411,7 +388,8 @@ def check_differential_privacy(m: Mechanism, a: PrivacyLevel) -> DPReport:
 
 
 def compose(y: Remap, x: Mechanism) -> Mechanism:
-    """Post-process x by y: (y @ x)[i][t] = sum_r x[i][r] * y[r][t].
+    """Post-process x by y: (y o x)[i][t] sums x[i][r] over the responses
+    r that y sends to t.
 
     y's source responses must be exactly x's responses, in order.
     """
@@ -419,12 +397,15 @@ def compose(y: Remap, x: Mechanism) -> Mechanism:
         raise StructuralError(
             f"remap sources {y.sources} do not match mechanism responses {x.responses}"
         )
-    rows = tuple(
-        tuple(sum((xrow[j] * yrow[k] for j, yrow in enumerate(y.rows)), Fraction(0))
-              for k in range(len(y.targets)))
-        for xrow in x.rows
-    )
-    return Mechanism(n=x.n, responses=y.targets, rows=rows)
+    column = {t: k for k, t in enumerate(y.targets)}
+    cols = [column[t] for t in y.mapping]
+    rows = []
+    for xrow in x.rows:
+        row = [Fraction(0)] * len(y.targets)
+        for v, k in zip(xrow, cols):
+            row[k] += v
+        rows.append(tuple(row))
+    return Mechanism(n=x.n, responses=y.targets, rows=tuple(rows))
 
 
 def expected_loss(m: Mechanism, u: UserModel,
@@ -435,11 +416,19 @@ def expected_loss(m: Mechanism, u: UserModel,
     Decimal at the requested precision (the prior/mechanism part of each
     term stays exact and is converted once).
     """
+    return _expected_loss(m, u, LossTable(u.loss, digits))
+
+
+def _check_prior_covers(m: Mechanism, u: UserModel) -> None:
     if len(u.prior) != m.n + 1:
         raise StructuralError(
             f"prior covers {len(u.prior)} results, mechanism has {m.n + 1}"
         )
-    table = LossTable(u.loss, digits)
+
+
+def _expected_loss(m: Mechanism, u: UserModel, table: LossTable) -> Number:
+    """expected_loss with the loss values taken from (and cached in) table."""
+    _check_prior_covers(m, u)
     return table.weighted_sum(
         (p * row[k], table(i, r))
         for i, (p, row) in enumerate(zip(u.prior, m.rows)) if p

@@ -26,7 +26,7 @@ from .core import (
     PrivacyLevel,
     StructuralError,
     UserModel,
-    expected_loss,
+    _expected_loss,
     to_decimal,
 )
 from .simplex import LE, Constraint, SimplexResult, solve_lp
@@ -45,7 +45,7 @@ class UserLP:
     n: int
     objective: tuple[tuple[Fraction, ...], ...]  # [i][r], rationalized
     objective_exact: bool
-    digits: int
+    table: LossTable  # the loss values behind objective, reused by the solve
 
     @property
     def num_variables(self) -> int:
@@ -105,7 +105,7 @@ def build_lp(u: UserModel, a: PrivacyLevel, n: int | None = None,
                             for r in range(n + 1))
                       for i in range(n + 1))
     return UserLP(user=u, level=a, n=n, objective=objective,
-                  objective_exact=u.loss.is_exact, digits=table.ctx.prec)
+                  objective_exact=u.loss.is_exact, table=table)
 
 
 def _reduced_constraints(n: int, alpha: Fraction):
@@ -227,7 +227,7 @@ def solve_vertex(lp: UserLP) -> VertexSolution:
         certified, near = _certify_true_objective(lp, res)
         alternates = max(alternates, near)
 
-    value = expected_loss(mech, lp.user, lp.digits)
+    value = _expected_loss(mech, lp.user, lp.table)
     ts = tight_set(mech, lp.level)
     return VertexSolution(mechanism=mech, objective=value,
                           lp_objective=lp_value, tight=ts,
@@ -238,9 +238,9 @@ def solve_vertex(lp: UserLP) -> VertexSolution:
 def _certify_true_objective(lp: UserLP, res: SimplexResult) -> tuple[bool, int]:
     """Reduced costs of all nonbasic columns under the true (Decimal)
     objective. Slack columns carry zero cost; y columns carry
-    p_i (l(i,r) - l(i,n)) evaluated freshly at high precision."""
+    p_i (l(i,r) - l(i,n)) from the LP's high-precision loss table."""
     n = lp.n
-    table = LossTable(lp.user.loss, lp.digits)
+    table = lp.table
     ctx = table.ctx
     prior = lp.user.prior
 

@@ -8,7 +8,7 @@ LossTable per call supplies every loss value, so each is evaluated once.
 
 from __future__ import annotations
 
-from .core import LossTable, Mechanism, Remap, UserModel
+from .core import LossTable, Mechanism, Remap, UserModel, _check_prior_covers
 
 
 def _target_costs(x: Mechanism, u: UserModel, k: int, table: LossTable):
@@ -26,7 +26,9 @@ def optimal_remap(x: Mechanism, u: UserModel,
     """Deterministic Bayes-optimal remap of x's responses into 0..n.
 
     Ties go to the smallest result index; unreachable responses go to 0.
+    The prior must cover exactly x's results 0..n.
     """
+    _check_prior_covers(x, u)
     n = x.n
     table = LossTable(u.loss, digits)
     mapping = []
@@ -37,5 +39,4 @@ def optimal_remap(x: Mechanism, u: UserModel,
         costs = _target_costs(x, u, k, table)
         best = min(range(n + 1), key=lambda t: (costs[t], t))
         mapping.append(best)
-    return Remap.from_map(mapping, sources=x.responses,
-                          targets=tuple(range(n + 1)))
+    return Remap(x.responses, tuple(range(n + 1)), mapping)

@@ -160,14 +160,18 @@ def user_from_jsonable(data, path: str = "user") -> UserModel:
 
 
 def remap_to_jsonable(y: Remap) -> dict:
+    """Indicator rows: row j holds "1" at the target of sources[j]."""
     return {
         "sources": list(y.sources),
         "targets": list(y.targets),
-        "rows": [[format_rational(v) for v in row] for row in y.rows],
+        "rows": [["1" if t == tgt else "0" for t in y.targets]
+                 for tgt in y.mapping],
     }
 
 
 def remap_from_jsonable(data, path: str = "remap") -> Remap:
+    """Only deterministic remaps are read: every row must be an indicator
+    row over the targets; a randomized row is rejected."""
     data = _expect_dict(data, path, {"sources", "targets", "rows"},
                         {"sources", "targets", "rows"})
     sources = tuple(_label(v, f"{path}.sources[{k}]")
@@ -176,9 +180,17 @@ def remap_from_jsonable(data, path: str = "remap") -> Remap:
     targets = tuple(_label(v, f"{path}.targets[{k}]")
                     for k, v in enumerate(_expect_list(data["targets"],
                                                        f"{path}.targets")))
-    rows = _rows(data["rows"], f"{path}.rows")
+    mapping = []
+    for j, row in enumerate(_rows(data["rows"], f"{path}.rows")):
+        if (len(row) != len(targets) or any(v not in (0, 1) for v in row)
+                or sum(row) != 1):
+            raise FormatError(f"{path}.rows[{j}]",
+                              f"expected an indicator row of {len(targets)} "
+                              "entries, one 1 and the rest 0; randomized "
+                              "remaps are not supported")
+        mapping.append(targets[row.index(1)])
     try:
-        return Remap(sources=sources, targets=targets, rows=rows)
+        return Remap(sources=sources, targets=targets, mapping=mapping)
     except StructuralError as e:
         raise FormatError(f"{path}.rows", str(e)) from None
 

@@ -159,7 +159,7 @@ class SimplexResult:
     """
 
     def __init__(self, status: str, num_vars: int, *, x=None, objective=None,
-                 farkas=None, pivots=0, core=None, obj_scale=1):
+                 farkas=None, pivots=0, core=None):
         self.status = status
         self.num_vars = num_vars
         self.x = x
@@ -167,7 +167,6 @@ class SimplexResult:
         self.farkas = farkas
         self.pivots = pivots
         self._core = core
-        self._obj_scale = obj_scale
 
     @property
     def basis(self) -> tuple[int, ...]:
@@ -187,11 +186,6 @@ class SimplexResult:
         core = self._core
         return tuple(Fraction(b, core.den) for b in core.rhs)
 
-    def reduced_cost(self, j: int) -> Fraction:
-        """Reduced cost of column j for the minimized objective."""
-        core = self._core
-        return Fraction(core.cost_rows[0][j], core.den * self._obj_scale)
-
     def alternate_optimum_columns(self) -> tuple[int, ...]:
         """Nonbasic non-artificial columns with zero reduced cost: the
         optimal face extends beyond the returned vertex along these."""
@@ -204,9 +198,8 @@ class SimplexResult:
 
 def solve_lp(num_vars: int, constraints: Sequence[Constraint],
              objective: Sequence[Fraction], *,
-             maximize: bool = False,
              tiebreak: Sequence[Fraction] | None = None) -> SimplexResult:
-    """Solve min (or max) objective.x subject to constraints and x >= 0.
+    """Solve min objective.x subject to constraints and x >= 0.
 
     With tiebreak, after the objective is optimal the solve continues
     inside the optimal face, minimizing tiebreak.x there (lexicographic
@@ -217,8 +210,6 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
     obj = [_frac(c) for c in objective]
     if len(obj) != num_vars:
         raise ValueError("objective width does not match num_vars")
-    sense = -1 if maximize else 1
-    minimized = [sense * c for c in obj]
 
     # normalize every row to integers a.x (+ slack) = b with b >= 0;
     # scales[i] is the signed rational multiplier from original to
@@ -278,8 +269,8 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
         rows.append(row)
     core = _Core(rows, list(int_rhs), basis, width, total)
 
-    obj_scale = lcm(*(c.denominator for c in minimized)) if minimized else 1
-    cost2 = [c.numerator * (obj_scale // c.denominator) for c in minimized]
+    obj_scale = lcm(*(c.denominator for c in obj)) if obj else 1
+    cost2 = [c.numerator * (obj_scale // c.denominator) for c in obj]
     cost2 += [0] * (total - num_vars)
 
     extra_costs = []
@@ -333,7 +324,7 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
             if not ok:
                 raise RuntimeError(f"internal error: bad Farkas certificate: {why}")
             return SimplexResult("infeasible", num_vars, farkas=lam,
-                                 pivots=pivots, core=core, obj_scale=obj_scale)
+                                 pivots=pivots, core=core)
         _drive_out_artificials(core)
         core.cost_rows = core.cost_rows[1:]
         core.cost_rhs = core.cost_rhs[1:]
@@ -341,8 +332,7 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
     status, p = _run(core, 0)
     pivots += p
     if status == "unbounded":
-        return SimplexResult("unbounded", num_vars, pivots=pivots, core=core,
-                             obj_scale=obj_scale)
+        return SimplexResult("unbounded", num_vars, pivots=pivots, core=core)
 
     if extra_costs:
         # walk the optimal face: columns with nonzero primary reduced cost
@@ -358,7 +348,7 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
             x[b] = Fraction(core.rhs[i], core.den)
     value = sum((c * v for c, v in zip(obj, x)), Fraction(0))
     return SimplexResult("optimal", num_vars, x=tuple(x), objective=value,
-                         pivots=pivots, core=core, obj_scale=obj_scale)
+                         pivots=pivots, core=core)
 
 
 def _drive_out_artificials(core: _Core):

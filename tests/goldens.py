@@ -69,3 +69,80 @@ LIFT_USER_3 = UserModel(
 )
 LIFT_USER_3_WORST_LOSS = (
     "0.9203959363522954886519887906563020973468407921259799536989160000")
+
+# Exact stdout of `privopt remap` on the geometric mechanism (alpha 1/2,
+# n = 5) and the benchmark user: the remap as JSON indicator rows.
+BENCHMARK_REMAP_STDOUT = """\
+{
+  "rows": [
+    [
+      "1",
+      "0",
+      "0",
+      "0",
+      "0",
+      "0"
+    ],
+    [
+      "0",
+      "0",
+      "1",
+      "0",
+      "0",
+      "0"
+    ],
+    [
+      "0",
+      "0",
+      "1",
+      "0",
+      "0",
+      "0"
+    ],
+    [
+      "0",
+      "0",
+      "0",
+      "1",
+      "0",
+      "0"
+    ],
+    [
+      "0",
+      "0",
+      "0",
+      "0",
+      "1",
+      "0"
+    ],
+    [
+      "0",
+      "0",
+      "0",
+      "0",
+      "0",
+      "1"
+    ]
+  ],
+  "sources": [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5
+  ],
+  "targets": [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5
+  ]
+}
+"""
+
+# "derived_remap" of `privopt analyze` on the benchmark vertex
+BENCHMARK_ANALYZE_DERIVED_REMAP = {
+    "0": 0, "1": 2, "2": 2, "3": 3, "4": 4, "5": 5}

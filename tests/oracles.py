@@ -322,8 +322,7 @@ def brute_force_optimal_remap(x: Mechanism, u: UserModel,
         if best_total is None or total < best_total:
             best_total = total
             best_map = candidate
-    remap = Remap.from_map(best_map, sources=x.responses,
-                           targets=tuple(range(n + 1)))
+    remap = Remap(x.responses, tuple(range(n + 1)), best_map)
     # recompute through the composition so the reported loss is the
     # plain definition, not the table shortcut
     return remap, expected_loss(compose(remap, x), u, digits)

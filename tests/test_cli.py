@@ -12,7 +12,13 @@ import pytest
 from privopt.cli import main
 from privopt.serialize import dumps, mechanism_to_jsonable, user_to_jsonable
 
-from goldens import ALPHA_HALF, BENCHMARK_USER, BENCHMARK_VERTEX
+from goldens import (
+    ALPHA_HALF,
+    BENCHMARK_ANALYZE_DERIVED_REMAP,
+    BENCHMARK_REMAP_STDOUT,
+    BENCHMARK_USER,
+    BENCHMARK_VERTEX,
+)
 from privopt import truncated_geometric
 
 
@@ -76,9 +82,23 @@ class TestRemap:
     def test_derived_map(self, user_file, mech_file, capsys):
         from privopt.serialize import remap_from_jsonable
         assert main(["remap", "--mech", mech_file, "--user", user_file]) == 0
-        y = remap_from_jsonable(json.loads(capsys.readouterr().out))
+        printed = capsys.readouterr().out
+        assert printed == BENCHMARK_REMAP_STDOUT
+        y = remap_from_jsonable(json.loads(printed))
         # response 1 is folded into 2, everything else stays put
         assert y.as_map() == {0: 0, 1: 2, 2: 2, 3: 3, 4: 4, 5: 5}
+
+    def test_prior_must_cover_mechanism_results(self, tmp_path, capsys):
+        mech = tmp_path / "g3.json"
+        mech.write_text(dumps(mechanism_to_jsonable(
+            truncated_geometric(ALPHA_HALF, 3), alpha=F(1, 2))))
+        user = tmp_path / "u2.json"
+        user.write_text(dumps({"prior": ["1/3", "1/3", "1/3"],
+                               "loss": {"kind": "absolute"}}))
+        assert main(["remap", "--mech", str(mech), "--user", str(user)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: prior covers 3 results, mechanism has 4" in captured.err
 
 
 class TestAnalyze:
@@ -95,7 +115,7 @@ class TestAnalyze:
         assert data["structure_ok"] is True
         assert data["grid"] == ["vZ^^^^", "vZS^^^", "vZv^^^", "vZvv^^", "vZvvv^"]
         assert data["accounting"]["total_slack"] == 1
-        assert data["derived_remap"]["1"] == 2
+        assert data["derived_remap"] == BENCHMARK_ANALYZE_DERIVED_REMAP
 
     def test_alpha_flag_overrides_missing_embedded(self, tmp_path):
         g = truncated_geometric(ALPHA_HALF, 2)

@@ -100,19 +100,17 @@ class TestDifferentialPrivacy:
 class TestCompose:
     def test_identity_remap_is_noop(self):
         g = truncated_geometric(ALPHA_HALF, 4)
-        ident = Remap.from_map([0, 1, 2, 3, 4], sources=g.responses,
-                               targets=g.responses)
+        ident = Remap(g.responses, g.responses, [0, 1, 2, 3, 4])
         assert compose(ident, g).rows == g.rows
 
     def test_collapse_to_benchmark_vertex(self):
         g = truncated_geometric(ALPHA_HALF, 5)
-        y = Remap.from_map([0, 2, 2, 3, 4, 5], sources=g.responses,
-                           targets=g.responses)
+        y = Remap(g.responses, g.responses, [0, 2, 2, 3, 4, 5])
         assert compose(y, g).rows == BENCHMARK_VERTEX
 
     def test_source_mismatch_rejected(self):
         g = truncated_geometric(ALPHA_HALF, 2)
-        y = Remap.from_map([0, 1], sources=(0, 1), targets=(0, 1))
+        y = Remap((0, 1), (0, 1), [0, 1])
         with pytest.raises(StructuralError):
             compose(y, g)
 
@@ -131,8 +129,7 @@ class TestExpectedLoss:
 
     def test_threshold_remap_reaches_one_twelfth(self):
         g = truncated_geometric(ALPHA_HALF, 5)
-        y = Remap.from_map([0, 0, 0, 5, 5, 5], sources=g.responses,
-                           targets=g.responses)
+        y = Remap(g.responses, g.responses, [0, 0, 0, 5, 5, 5])
         assert expected_loss(compose(y, g), endpoint_user(5)) == F(1, 12)
 
     def test_power_loss_returns_decimal(self):
@@ -198,14 +195,16 @@ class TestUserModel:
 
 class TestRemap:
     def test_from_map_round_trip(self):
-        y = Remap.from_map([2, 2, 0], sources=(0, 1, 2), targets=(0, 1, 2))
+        y = Remap(sources=(0, 1, 2), targets=(0, 1, 2), mapping=[2, 2, 0])
         assert y.as_map() == {0: 2, 1: 2, 2: 0}
-        assert y.deterministic
 
-    def test_rows_must_be_stochastic(self):
+    def test_one_target_per_source(self):
         with pytest.raises(StructuralError):
-            Remap(sources=(0, 1), targets=(0, 1),
-                  rows=((F(1, 2), F(1, 4)), (F(0), F(1))))
+            Remap(sources=(0, 1, 2), targets=(0, 1), mapping=[0, 1])
+
+    def test_target_outside_target_set(self):
+        with pytest.raises(StructuralError):
+            Remap(sources=(0, 1), targets=(0, 1), mapping=[0, 2])
 
 
 class TestRationalText:

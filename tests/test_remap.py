@@ -10,12 +10,14 @@ from privopt import (
     LossFunction,
     Mechanism,
     PrivacyLevel,
+    StructuralError,
     UserModel,
     compose,
     expected_loss,
     truncated_geometric,
 )
 from privopt.analysis import random_user
+from privopt.optlp import optimal_mechanism_for_user
 from privopt.remap import optimal_remap
 from privopt.simplex import EQ, Constraint, solve_lp
 
@@ -120,6 +122,13 @@ class TestOptimalRemap:
         u = UserModel(prior=(F(1, 2), F(1, 2)), loss=LossFunction(kind="binary"))
         assert optimal_remap(m, u).as_map() == {0: 0, 1: 0}
 
+    def test_prior_must_cover_mechanism_results(self):
+        u = UserModel(prior=(F(1, 3), F(1, 3), F(1, 3)),
+                      loss=LossFunction(kind="absolute"))
+        with pytest.raises(StructuralError,
+                           match="prior covers 3 results, mechanism has 4"):
+            optimal_remap(truncated_geometric(ALPHA_HALF, 3), u)
+
 
 class TestLossValues:
     def test_power_loss_digits_pinned(self):
@@ -142,6 +151,11 @@ class TestLossValues:
                       loss=LossFunction(kind="power", exponent=F(3, 2)))
         optimal_remap(truncated_geometric(ALPHA_HALF, n), u)
         assert 0 < len(calls) <= n + 1
+        # one LP solve shares one table across the build, the certification
+        # and the final objective: one value per distance 0..5
+        calls.clear()
+        optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF)
+        assert len(calls) == 6
 
 
 class TestBruteForceAgreement:

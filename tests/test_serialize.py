@@ -109,17 +109,24 @@ class TestLossAndUser:
 
 class TestRemapRoundTrip:
     def test_deterministic_map(self):
-        y = Remap.from_map([0, 2, 2], sources=(0, 1, 2), targets=(0, 1, 2))
+        y = Remap(sources=(0, 1, 2), targets=(0, 1, 2), mapping=[0, 2, 2])
         back = remap_from_jsonable(remap_to_jsonable(y))
         assert back.as_map() == y.as_map()
 
     def test_bad_rational_named(self):
         data = remap_to_jsonable(
-            Remap.from_map([0, 1], sources=(0, 1), targets=(0, 1)))
+            Remap(sources=(0, 1), targets=(0, 1), mapping=[0, 1]))
         data["rows"][0][0] = "one half"
         with pytest.raises(FormatError) as err:
             remap_from_jsonable(data)
         assert "rows" in str(err.value)
+
+    def test_randomized_row_rejected(self):
+        data = {"sources": [0, 1], "targets": [0, 1],
+                "rows": [["1/2", "1/2"], ["0", "1"]]}
+        with pytest.raises(FormatError) as err:
+            remap_from_jsonable(data)
+        assert err.value.path == "remap.rows[0]"
 
 
 class TestSpaceAndFullMechanism:

@@ -8,16 +8,16 @@ from privopt.simplex import EQ, GE, LE, Constraint, solve_lp, verify_farkas
 
 
 def test_textbook_two_var_max():
-    # max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18
+    # max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18, as min -3x - 5y
     cons = [
         Constraint((F(1), F(0)), LE, F(4)),
         Constraint((F(0), F(2)), LE, F(12)),
         Constraint((F(3), F(2)), LE, F(18)),
     ]
-    res = solve_lp(2, cons, [F(3), F(5)], maximize=True)
+    res = solve_lp(2, cons, [F(-3), F(-5)])
     assert res.status == "optimal"
     assert res.x == (F(2), F(6))
-    assert res.objective == 36
+    assert res.objective == -36
 
 
 def test_degenerate_vertex_terminates():
