@@ -288,7 +288,7 @@ class FactorizationCheck:
 LOSS_TOLERANCE = Fraction(1, 10 ** 30)
 
 
-def verify_factorization(u: UserModel, a: PrivacyLevel, n: int | None = None,
+def verify_factorization(u: UserModel, a: PrivacyLevel,
                          digits: int | None = None) -> FactorizationCheck:
     """Check that remapping the truncated geometric mechanism is exactly
     optimal for u, and that the LP vertex is that remap in disguise.
@@ -298,13 +298,12 @@ def verify_factorization(u: UserModel, a: PrivacyLevel, n: int | None = None,
     structural checks and the remap derived from it must reproduce the
     vertex bit for bit.
     """
-    if n is None:
-        n = u.n
+    n = u.n
     g = truncated_geometric(a, n)
     y = optimal_remap(g, u, digits)
     remapped = compose(y, g)
     l1 = expected_loss(remapped, u, digits)
-    sol = optimal_mechanism_for_user(u, a, n, digits)
+    sol = optimal_mechanism_for_user(u, a, digits=digits)
     l2 = sol.objective
     if u.loss.is_exact:
         losses_match = l1 == l2

@@ -129,9 +129,8 @@ def _cmd_optimal(args) -> int:
     level = _parse_alpha(args.alpha)
     user = _load(args.user, serialize.user_from_jsonable, "user")
     digits = _resolve_precision(args)
-    n = args.n if args.n is not None else user.n
     try:
-        sol = optimal_mechanism_for_user(user, level, n, digits)
+        sol = optimal_mechanism_for_user(user, level, digits=digits)
     except StructuralError as e:
         raise UsageError(str(e)) from None
     _emit(serialize.mechanism_to_jsonable(sol.mechanism, alpha=level.alpha),
@@ -236,7 +235,7 @@ def _theorem1_sweep(args) -> tuple[RunReport, bool]:
         n = rng.randint(1, args.n)
         level = alphas[rng.randrange(len(alphas))]
         user = analysis.random_user(rng, n)
-        check = analysis.verify_factorization(user, level, n, digits)
+        check = analysis.verify_factorization(user, level, digits=digits)
         ok = check.ok
         all_ok = all_ok and ok
         report.trials.append({
@@ -399,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "mechanism")
     p.add_argument("--user", required=True, help="user JSON file")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=int, default=None,
-                   help="largest result (default: inferred from the prior)")
     p.add_argument("--out", help="write the mechanism JSON here")
     p.add_argument("--report",
                    help="write objective and tight-set summary JSON here")

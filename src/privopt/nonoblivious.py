@@ -161,8 +161,7 @@ def lift(m: Mechanism, space: DatabaseSpace) -> FullMechanism:
     return FullMechanism(space=space, responses=m.responses, rows=rows)
 
 
-def obliviate(x: FullMechanism,
-              space: DatabaseSpace | None = None) -> Mechanism:
+def obliviate(x: FullMechanism) -> Mechanism:
     """Average each row over its equivalence class of databases.
 
     The result depends on the database only through the query result, so
@@ -172,10 +171,7 @@ def obliviate(x: FullMechanism,
     increase; both facts are checked property-style in the test suite
     rather than asserted here.
     """
-    if space is None:
-        space = x.space
-    elif space is not x.space and space != x.space:
-        raise StructuralError("space does not match the mechanism's space")
+    space = x.space
     sto = check_full_row_stochastic(x)
     if not sto.ok:
         raise StructuralError("not row-stochastic: " + "; ".join(sto.problems))
@@ -190,13 +186,11 @@ def obliviate(x: FullMechanism,
 
 
 def worst_case_expected_loss(x: FullMechanism, u: UserModel,
-                             space: DatabaseSpace | None = None,
                              digits: int | None = None) -> Number:
     """Maximum expected loss over database priors that induce u's prior
     on results: within each result class, all of that result's weight
     goes to the database with the largest conditional loss."""
-    if space is None:
-        space = x.space
+    space = x.space
     if u.n != space.rows:
         raise StructuralError(f"user has n={u.n}, space has n={space.rows}")
     table = LossTable(u.loss, digits)

@@ -90,14 +90,11 @@ class VertexSolution:
     certified: bool            # post-pass outcome (trivially True if exact)
 
 
-def build_lp(u: UserModel, a: PrivacyLevel, n: int | None = None,
+def build_lp(u: UserModel, a: PrivacyLevel,
              digits: int | None = None) -> UserLP:
-    """Assemble the user's LP; rationalizes irrational loss values at the
-    requested precision."""
-    if n is None:
-        n = u.n
-    elif n != u.n:
-        raise StructuralError(f"prior covers results 0..{u.n}, asked for n={n}")
+    """Assemble the user's LP over results 0..u.n; rationalizes irrational
+    loss values at the requested precision."""
+    n = u.n
     if n < 1:
         raise StructuralError("need at least two results (n >= 1)")
     table = LossTable(u.loss, digits)
@@ -276,7 +273,6 @@ def _certify_true_objective(lp: UserLP, res: SimplexResult) -> tuple[bool, int]:
 
 
 def optimal_mechanism_for_user(u: UserModel, a: PrivacyLevel,
-                               n: int | None = None,
                                digits: int | None = None) -> VertexSolution:
     """Convenience: build and solve the user's LP in one step."""
-    return solve_vertex(build_lp(u, a, n, digits))
+    return solve_vertex(build_lp(u, a, digits=digits))

@@ -1,11 +1,14 @@
 """Exact rational simplex over integer tableaus.
 
 Solves min c.x subject to rational linear constraints and x >= 0 entirely
-in exact arithmetic. The tableau is kept as integers with one shared
-positive denominator and updated by fraction-free (Edmonds-style)
-pivoting: pivoting on element p sends entry a to (p*a - f*b) / den, every
-division exact, and p becomes the new shared denominator. This avoids
-per-entry gcd work and keeps entries the size of minors of the input.
+in exact arithmetic. The tableau is one list of integer rows, the
+constraint rows and then the cost rows, each with its right-hand side as
+its last entry and its own positive denominator. Pivots are fraction-free
+(Edmonds-style): pivoting on element p sends entry a of a row with f in
+the pivot column to (p*a - f*b) / d, d that row's denominator, every
+division exact, and p becomes its new denominator. Rows with a zero in
+the pivot column are not touched. This avoids per-entry gcd work and
+keeps entries the size of minors of the input.
 
 Pivot selection is Dantzig's rule for speed, switching permanently to
 Bland's rule after a long run of degenerate pivots, which guarantees
@@ -45,100 +48,102 @@ class Constraint:
         object.__setattr__(self, "rhs", _frac(self.rhs))
 
 
-class _Core:
-    __slots__ = ("rows", "rhs", "den", "basis", "width", "total",
-                 "cost_rows", "cost_rhs", "art_cols")
+def _integer_cost_row(cost: list[Fraction], total: int) -> list[int]:
+    """cost scaled by the lcm of its denominators, as a tableau row: zero
+    on the slack and artificial columns and on the right-hand side."""
+    scale = lcm(*(c.denominator for c in cost))
+    return ([c.numerator * (scale // c.denominator) for c in cost]
+            + [0] * (total - len(cost) + 1))
 
-    def __init__(self, rows, rhs, basis, width, total):
+
+class _Core:
+    """One list of integer rows: the constraint rows, then the cost rows,
+    each with its right-hand side as the last entry. Row i stands for
+    rows[i] / dens[i]; den is the last pivot element."""
+
+    __slots__ = ("rows", "dens", "den", "basis", "width", "art_cols")
+
+    def __init__(self, rows, basis, width, total):
         self.rows = rows
-        self.rhs = rhs
+        self.dens = [1] * len(rows)
         self.den = 1
         self.basis = basis
         self.width = width      # structural + slack columns
-        self.total = total      # plus artificials
-        self.cost_rows = []
-        self.cost_rhs = []
-        self.art_cols = set(range(width, total))
+        self.art_cols = set(range(width, total))   # artificials
 
 
 def _pivot(core: _Core, pr: int, pc: int):
-    """Fraction-free pivot; requires core.rows[pr][pc] > 0."""
-    rows, rhs, den = core.rows, core.rhs, core.den
-    prow, prhs = rows[pr], rhs[pr]
+    """Fraction-free pivot; requires core.rows[pr][pc] > 0.
+
+    The pivot row is first brought to the scale of the last pivot, den:
+    every entry of the tableau at that scale is an integer minor of the
+    input (Bareiss), so the division is exact. A row with f != 0 in the
+    pivot column then becomes (piv*a - f*b) / dens[i], exact for the same
+    reason, at the new denominator piv. Every other row keeps its entries
+    and its own denominator; pivoting on a row at a stale denominator
+    would not be exact.
+    """
+    rows, dens, den = core.rows, core.dens, core.den
+    prow = rows[pr]
+    if dens[pr] != den:
+        prow = [b * den // dens[pr] for b in prow]
+        rows[pr] = prow
     piv = prow[pc]
-    for i in range(len(rows)):
-        if i == pr:
-            continue
-        row = rows[i]
+    for i, row in enumerate(rows):
         f = row[pc]
-        if f:
-            rows[i] = [(piv * a - f * b) // den for a, b in zip(row, prow)]
-            rhs[i] = (piv * rhs[i] - f * prhs) // den
-        elif piv != den:
-            rows[i] = [piv * a // den for a in row]
-            rhs[i] = piv * rhs[i] // den
-    for k in range(len(core.cost_rows)):
-        cost = core.cost_rows[k]
-        f = cost[pc]
-        if f:
-            core.cost_rows[k] = [(piv * a - f * b) // den
-                                 for a, b in zip(cost, prow)]
-            core.cost_rhs[k] = (piv * core.cost_rhs[k] - f * prhs) // den
-        elif piv != den:
-            core.cost_rows[k] = [piv * a // den for a in cost]
-            core.cost_rhs[k] = piv * core.cost_rhs[k] // den
+        if f and i != pr:
+            d = dens[i]
+            rows[i] = [(piv * a - f * b) // d for a, b in zip(row, prow)]
+            dens[i] = piv
+    dens[pr] = piv
     core.den = piv
     core.basis[pr] = pc
 
 
 def _run(core: _Core, cost_index: int,
-         restrict: frozenset[int] | None = None) -> tuple[str, int]:
-    """Pivot until the chosen cost row is optimal. Artificial columns never
-    enter: once driven out they are not needed again, and when the phase-1
-    optimum is positive the restricted dual still certifies infeasibility.
-    With restrict, only those columns may enter: pivoting on a column whose
-    reduced cost is zero in another cost row leaves that row unchanged up
-    to positive scale, so restricting to such columns walks a face on
-    which the other objective stays optimal.
+         restrict: Sequence[int] | None = None) -> tuple[str, int]:
+    """Pivot until the cost row at cost_index is optimal. Artificial
+    columns never enter: once driven out they are not needed again, and
+    when the phase-1 optimum is positive the restricted dual still
+    certifies infeasibility. With restrict, an ascending list, only those
+    columns may enter: pivoting on a column whose reduced cost is zero in
+    another cost row leaves that row unchanged up to positive scale, so
+    restricting to such columns walks a face on which the other objective
+    stays optimal. Pricing compares entries of one row and the ratio test
+    ratios within rows, so neither depends on a row's denominator.
     """
-    cost_row = core.cost_rows[cost_index]
+    cols = range(core.width) if restrict is None else restrict
+    m = len(core.basis)
     bland = False
     streak = 0
     pivots = 0
     while True:
+        # Dantzig's most negative reduced cost, or Bland's first negative
+        cost = core.rows[cost_index]
         pc = None
-        if bland:
-            for j in range(core.width):
-                if restrict is not None and j not in restrict:
-                    continue
-                if cost_row[j] < 0:
-                    pc = j
+        best = 0
+        for j in cols:
+            if cost[j] < best:
+                best, pc = cost[j], j
+                if bland:
                     break
-        else:
-            best = 0
-            for j in range(core.width):
-                if restrict is not None and j not in restrict:
-                    continue
-                cj = cost_row[j]
-                if cj < best:
-                    best, pc = cj, j
         if pc is None:
             return "optimal", pivots
         pr = None
         best_num = best_den = None
-        for i, row in enumerate(core.rows):
+        for i in range(m):
+            row = core.rows[i]
             a = row[pc]
             if a > 0:
-                b = core.rhs[i]
+                b = row[-1]
                 if pr is None or b * best_den < best_num * a or (
                         b * best_den == best_num * a
                         and core.basis[i] < core.basis[pr]):
                     best_num, best_den, pr = b, a, i
         if pr is None:
             return "unbounded", pivots
-        degenerate = core.rhs[pr] == 0
+        degenerate = best_num == 0
         _pivot(core, pr, pc)
-        cost_row = core.cost_rows[cost_index]
         pivots += 1
         if pivots > _PIVOT_LIMIT:
             raise RuntimeError("pivot limit exceeded")
@@ -178,20 +183,21 @@ class SimplexResult:
         return self._core.width
 
     def tableau_column(self, j: int) -> tuple[Fraction, ...]:
-        """Column j of B^-1 A over the constraint rows, exact."""
+        """Column j of B^-1 A over the constraint rows, exact; column -1
+        is B^-1 b."""
         core = self._core
-        return tuple(Fraction(row[j], core.den) for row in core.rows)
+        return tuple(Fraction(core.rows[i][j], core.dens[i])
+                     for i in range(len(core.basis)))
 
     def basic_values(self) -> tuple[Fraction, ...]:
-        core = self._core
-        return tuple(Fraction(b, core.den) for b in core.rhs)
+        return self.tableau_column(-1)
 
     def alternate_optimum_columns(self) -> tuple[int, ...]:
         """Nonbasic non-artificial columns with zero reduced cost: the
         optimal face extends beyond the returned vertex along these."""
         core = self._core
         basic = set(core.basis)
-        cost = core.cost_rows[0]
+        cost = core.rows[len(core.basis)]
         return tuple(j for j in range(core.width)
                      if j not in basic and cost[j] == 0)
 
@@ -208,8 +214,12 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
     tiebreak the last vertex reached is returned.
     """
     obj = [_frac(c) for c in objective]
-    if len(obj) != num_vars:
-        raise ValueError("objective width does not match num_vars")
+    costs = [obj]
+    if tiebreak is not None:
+        costs.append([_frac(c) for c in tiebreak])
+    for name, cost in zip(("objective", "tiebreak"), costs):
+        if len(cost) != num_vars:
+            raise ValueError(f"{name} width does not match num_vars")
 
     # normalize every row to integers a.x (+ slack) = b with b >= 0;
     # scales[i] is the signed rational multiplier from original to
@@ -258,7 +268,7 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
     rows = []
     basis = []
     for i in range(m):
-        row = int_rows[i] + [0] * (total - num_vars)
+        row = int_rows[i] + [0] * (total - num_vars) + [int_rhs[i]]
         if i in slack_col:
             row[slack_col[i]] = slack_signs[i]
         if i in art_col:
@@ -267,44 +277,26 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
         else:
             basis.append(slack_col[i])
         rows.append(row)
-    core = _Core(rows, list(int_rhs), basis, width, total)
-
-    obj_scale = lcm(*(c.denominator for c in obj)) if obj else 1
-    cost2 = [c.numerator * (obj_scale // c.denominator) for c in obj]
-    cost2 += [0] * (total - num_vars)
-
-    extra_costs = []
-    if tiebreak is not None:
-        tb = [_frac(c) for c in tiebreak]
-        if len(tb) != num_vars:
-            raise ValueError("tiebreak width does not match num_vars")
-        tb_scale = lcm(*(c.denominator for c in tb)) if tb else 1
-        cost3 = [c.numerator * (tb_scale // c.denominator) for c in tb]
-        cost3 += [0] * (total - num_vars)
-        extra_costs.append(cost3)
-
-    core.cost_rows = [cost2] + extra_costs
-    core.cost_rhs = [0] * (1 + len(extra_costs))
+    rows += [_integer_cost_row(cost, total) for cost in costs]
+    core = _Core(rows, basis, width, total)
 
     pivots = 0
     if art_col:
-        # phase 1: minimize the artificial total; its cost row starts
-        # reduced against the artificial part of the initial basis
-        cost1 = [0] * total
-        cost1_rhs = 0
+        # phase 1: minimize the artificial total in a cost row at index m;
+        # it starts reduced against the artificial part of the basis
+        cost1 = [0] * (total + 1)
         for i in art_col:
             cost1 = [a - b for a, b in zip(cost1, rows[i])]
-            cost1_rhs -= int_rhs[i]
-        for i, c in art_col.items():
+        for c in art_col.values():
             cost1[c] = 0
-        core.cost_rows.insert(0, cost1)
-        core.cost_rhs.insert(0, cost1_rhs)
-        status, p = _run(core, 0)
+        rows.insert(m, cost1)
+        core.dens.insert(m, 1)
+        status, p = _run(core, m)
         pivots += p
         if status != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         infeasibility = sum(
-            (Fraction(core.rhs[i], core.den)
+            (Fraction(rows[i][-1], core.dens[i])
              for i in range(m) if core.basis[i] in core.art_cols),
             Fraction(0))
         if infeasibility > 0:
@@ -316,7 +308,7 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
                 else:
                     col, c1 = slack_col[i], Fraction(0)
                     coeff = Fraction(slack_signs[i])
-                reduced = Fraction(core.cost_rows[0][col], core.den)
+                reduced = Fraction(rows[m][col], core.dens[m])
                 y_i = (c1 - reduced) / coeff
                 lam.append(y_i * scales[i])
             lam = tuple(lam)
@@ -325,27 +317,25 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
                 raise RuntimeError(f"internal error: bad Farkas certificate: {why}")
             return SimplexResult("infeasible", num_vars, farkas=lam,
                                  pivots=pivots, core=core)
+        del rows[m], core.dens[m]
         _drive_out_artificials(core)
-        core.cost_rows = core.cost_rows[1:]
-        core.cost_rhs = core.cost_rhs[1:]
 
-    status, p = _run(core, 0)
+    status, p = _run(core, m)
     pivots += p
     if status == "unbounded":
         return SimplexResult("unbounded", num_vars, pivots=pivots, core=core)
 
-    if extra_costs:
+    if tiebreak is not None:
         # walk the optimal face: columns with nonzero primary reduced cost
         # stay out of the basis, so the primary value cannot move
-        face = frozenset(j for j in range(core.width)
-                         if core.cost_rows[0][j] == 0)
-        status, p = _run(core, 1, restrict=face)
+        face = [j for j in range(width) if rows[m][j] == 0]
+        status, p = _run(core, m + 1, restrict=face)
         pivots += p
 
     x = [Fraction(0)] * num_vars
     for i, b in enumerate(core.basis):
         if b < num_vars:
-            x[b] = Fraction(core.rhs[i], core.den)
+            x[b] = Fraction(rows[i][-1], core.dens[i])
     value = sum((c * v for c, v in zip(obj, x)), Fraction(0))
     return SimplexResult("optimal", num_vars, x=tuple(x), objective=value,
                          pivots=pivots, core=core)
@@ -355,30 +345,27 @@ def _drive_out_artificials(core: _Core):
     """After a zero-cost phase 1, pivot basic artificials onto structural
     or slack columns. A row with no eligible pivot is redundant; it stays
     behind as an all-zero row that no later step can select."""
-    for i in range(len(core.rows)):
+    rows = core.rows
+    for i in range(len(core.basis)):
         if core.basis[i] not in core.art_cols:
             continue
         target = None
         for j in range(core.width):
-            if core.rows[i][j] != 0:
+            if rows[i][j] != 0:
                 target = j
                 break
         if target is None:
             continue
-        if core.rows[i][target] < 0:
+        if rows[i][target] < 0:
             # the row's value is zero, so flipping its sign is sound and
             # makes the pivot element positive as _pivot requires
-            core.rows[i] = [-v for v in core.rows[i]]
-            core.rhs[i] = -core.rhs[i]
+            rows[i] = [-v for v in rows[i]]
         _pivot(core, i, target)
     # artificials are dead from here on; blank them so no later phase can
     # see them and so redundant rows become fully zero
-    for row in core.rows:
+    for row in rows:
         for j in core.art_cols:
             row[j] = 0
-    for cost in core.cost_rows:
-        for j in core.art_cols:
-            cost[j] = 0
 
 
 def verify_farkas(num_vars: int, constraints: Sequence[Constraint],

@@ -146,3 +146,76 @@ BENCHMARK_REMAP_STDOUT = """\
 # "derived_remap" of `privopt analyze` on the benchmark vertex
 BENCHMARK_ANALYZE_DERIVED_REMAP = {
     "0": 0, "1": 2, "2": 2, "3": 3, "4": 4, "5": 5}
+
+# Pivot path of the exact simplex: a change to the pivot rule or to the
+# arithmetic of a pivot shows here first. Pivots and alternate optima of
+# the benchmark user's LP at alpha 1/2:
+BENCHMARK_PIVOTS = 31
+BENCHMARK_ALTERNATE_OPTIMA = 0
+
+# check_counterexample_infeasibility(alpha) at alpha 1/2 (infeasible) and
+# 1/4 (feasible): the final basis, basic values, Farkas multipliers and
+# vertex, each written as the str() of its entries joined by spaces (None
+# where the result has none), and the SHA-256 of every tableau_column(j),
+# j = 0..width-1, written the same way one column per line.
+COUNTEREXAMPLE_PATH_HALF = dict(
+    pivots=66,
+    basis=(
+        "49 129 31 131 88 133 112 135 0 33 92 34 2 37 3 39 40 8 1 43 6 45 46 "
+        "11 4 64 5 51 52 18 7 55 16 57 17 74 10 61 19 78 12 65 13 66 14 100 "
+        "15 71 20 73 21 75 76 77 23 79 32 81 58 82 22 85 62 87 24 120 83 90 "
+        "26 116 27 95 48 97 98 99 30 101 102 103 41 105 106 107 68 109 110 "
+        "111 80 113 114 115 84 117 118 94 104 121 122 123 124 125 126 127 136 "
+        "9 28 139 140 141 36 143 42 145 146 29 38 149 150 151"),
+    basic_values=(
+        "3/4 1/4 1/12 1/2 7/8 1/2 7/8 1/4 2/3 3/4 1/8 0 1/6 1/4 1/6 1/4 1/2 "
+        "7/12 0 0 1/12 1/4 1/2 1/3 7/12 0 0 0 1/2 1/3 1/12 1/4 7/12 7/8 0 0 "
+        "1/12 1/8 1/12 0 7/24 7/8 0 0 1/24 0 1/6 1/8 7/24 7/8 0 0 0 1/8 1/24 "
+        "1/2 1/2 1/2 0 0 1/6 0 1/4 1/2 2/3 1/2 0 0 1/6 0 1/6 1/4 1/2 7/8 0 0 "
+        "1/12 1/2 0 1/8 3/4 1/2 0 0 1/4 1/2 1/4 0 3/4 0 0 0 1/4 1/4 1/8 0 3/4 "
+        "3/4 0 0 0 1/4 0 1/4 0 0 7/12 0 9/4 3/4 0 3/2 0 0 0 0 0 3/2 9/4 3/4"),
+    multipliers=(
+        "0 1 129/5 1 -49/5 1 0 1 0 0 0 -90 0 0 0 0 0 0 0 0 -104/5 0 0 -408/5 "
+        "0 0 -180 0 0 -52/5 -816/5 0 -2 0 0 -24 -42 0 0 -20 0 0 0 -20 0 -20 "
+        "-42 0 -40 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 -2 0 -2 0 -2 0 0 -44 0 0 0 "
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 -2 0 0 0 0 0 0 0 0 12 -866/5 "
+        "-89/5 3 6 6 -51 3 99/5 3 12 -144/5 -51 3 6 6"),
+    x=None,
+    tableau_sha256=(
+        "357d6b3cc87cd30a77e8b81aa7bd69df04f09ac9f2ce317ff506c3870315e324"),
+)
+COUNTEREXAMPLE_PATH_QUARTER = dict(
+    pivots=67,
+    basis=(
+        "57 32 31 102 38 96 88 70 0 33 1 35 2 37 3 39 40 8 42 9 6 45 46 11 4 "
+        "49 5 51 52 18 7 55 16 72 17 74 10 61 19 78 12 65 13 82 14 100 15 71 "
+        "20 73 21 75 76 77 23 79 56 81 58 83 22 85 62 87 24 89 25 60 26 116 "
+        "27 95 48 97 98 66 30 101 54 103 104 105 106 107 68 109 110 111 112 "
+        "113 114 90 84 117 118 94 80 121 122 50 124 125 126 127 64 137 28 139 "
+        "140 59 41 143 144 92 146 29 148 36 150 34"),
+    basic_values=(
+        "5/2 2259/1156 1966/13005 347/3468 8/17 655/1156 751/1734 29/1734 "
+        "43769/52020 8/3 839/52020 28/867 979/13005 1/6 874/13005 233/1734 "
+        "7/4 33701/52020 839/3468 839/13005 3497/26010 979/3468 874/867 "
+        "3496/13005 9089/13005 11/4 419/13005 28/867 979/867 3916/13005 "
+        "3497/26010 755/3468 32021/52020 109/204 419/13005 23/51 979/52020 "
+        "1/2 2659/52020 32/17 7687/26010 5/2 1676/13005 23/51 983/26010 "
+        "1604/867 6994/13005 1/2 7687/26010 1327/578 1676/13005 112/867 9/68 "
+        "65/1734 983/26010 466/867 419/867 95/51 419/867 112/867 6994/13005 0 "
+        "3497/1734 874/867 9476/13005 1 1676/13005 29/1734 979/13005 58/867 "
+        "874/13005 2 5621/3468 13/6 419/867 419/867 1966/13005 2/3 7/51 1/6 "
+        "469/204 501/289 419/867 0 3497/1734 979/867 755/3468 7/51 751/1734 1 "
+        "1676/867 1676/867 979/3468 2 983/1734 58/867 7861/3468 2369/867 "
+        "1676/867 23/204 9/17 130/867 466/867 2/17 419/867 0 2369/13005 0 0 0 "
+        "9425/3468 0 0 983/1734 0 6704/13005 0 401/867 0 23/204"),
+    multipliers=None,
+    x=(
+        "43769/52020 839/52020 979/13005 874/13005 9089/13005 419/13005 "
+        "3497/26010 3497/26010 33701/52020 839/13005 979/52020 3496/13005 "
+        "7687/26010 1676/13005 983/26010 6994/13005 32021/52020 419/13005 "
+        "3916/13005 2659/52020 7687/26010 1676/13005 6994/13005 983/26010 "
+        "9476/13005 1676/13005 979/13005 874/13005 2369/13005 6704/13005 "
+        "1966/13005 1966/13005"),
+    tableau_sha256=(
+        "33212bb3f1f8c04ce73b93878ca20aafd3d121ae43a3b0d5c0d07c4779841d01"),
+)

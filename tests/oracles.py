@@ -30,6 +30,7 @@ from privopt.core import (
 )
 from privopt.optlp import TightSet
 from privopt.remap import _target_costs
+from privopt.simplex import GE, LE
 
 
 def sym_noise_pmf(alpha, z):
@@ -90,6 +91,31 @@ def _solve_unique(a_rows, rhs):
         if m[r][cols] != 0:
             return None  # inconsistent
     return [m[where[c]][cols] for c in range(cols)]
+
+
+def lp_vertices(num_vars: int, constraints) -> set[tuple[Fraction, ...]]:
+    """Every vertex of {x >= 0 : constraints}: each choice of num_vars
+    hyperplanes among the constraint rows and the bounds x_j = 0 that
+    meets in one point, kept when that point satisfies every constraint.
+    Empty exactly when the region is empty, since x >= 0 has no lines."""
+    planes = [(con.coeffs, con.rhs) for con in constraints]
+    for j in range(num_vars):
+        unit = [Fraction(0)] * num_vars
+        unit[j] = Fraction(1)
+        planes.append((unit, Fraction(0)))
+
+    def holds(con, x):
+        lhs = sum((c * v for c, v in zip(con.coeffs, x)), Fraction(0))
+        return (lhs <= con.rhs if con.relation == LE else
+                lhs >= con.rhs if con.relation == GE else lhs == con.rhs)
+
+    found = set()
+    for pick in itertools.combinations(planes, num_vars):
+        x = _solve_unique([p[0] for p in pick], [p[1] for p in pick])
+        if x is not None and min(x) >= 0 and all(holds(con, x)
+                                                 for con in constraints):
+            found.add(tuple(x))
+    return found
 
 
 def enumerate_vertices(a: PrivacyLevel, n: int) -> list[Mechanism]:

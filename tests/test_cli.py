@@ -61,7 +61,7 @@ class TestOptimal:
         out = tmp_path / "opt.json"
         report = tmp_path / "report.json"
         rc = main(["optimal", "--user", user_file, "--alpha", "1/2",
-                   "--n", "5", "--out", str(out), "--report", str(report)])
+                   "--out", str(out), "--report", str(report)])
         assert rc == 0
         from privopt import Mechanism
         golden = Mechanism(n=5, responses=tuple(range(6)), rows=BENCHMARK_VERTEX)

@@ -165,6 +165,18 @@ class TestWorstCaseLoss:
         got = worst_case_expected_loss(x, LIFT_USER_3, digits=64)
         assert str(got) == LIFT_USER_3_WORST_LOSS
 
+    def test_space_is_the_mechanisms_own(self):
+        # the classes are x.space's; another space's classes would give
+        # a wrong loss, or an IndexError for a wider space
+        x = lift(truncated_geometric(ALPHA_HALF, 2), binary_space(2))
+        u = UserModel(prior=(F(1, 4), F(1, 2), F(1, 4)),
+                      loss=LossFunction(kind="absolute"))
+        other = DatabaseSpace((0, 1), 2, (0,))
+        with pytest.raises(TypeError):
+            worst_case_expected_loss(x, u, space=other)
+        with pytest.raises(TypeError):
+            obliviate(x, space=x.space)
+
 
 class TestTwoUserInstance:
     def test_infeasible_with_verified_witness(self):

@@ -10,7 +10,6 @@ import pytest
 from privopt import (
     LossFunction,
     PrivacyLevel,
-    StructuralError,
     UserModel,
     check_differential_privacy,
     check_row_stochastic,
@@ -62,11 +61,6 @@ class TestBuildLP:
         want = F(1, 4) * F(hp_context(None).sqrt(Decimal(8)))
         assert abs(lp.objective[0][2] - want) < F(1, 10 ** 50)
         assert not lp.objective_exact
-
-    def test_n_mismatch_rejected(self):
-        u = UserModel(prior=(F(1, 2), F(1, 2)), loss=LossFunction(kind="binary"))
-        with pytest.raises(StructuralError):
-            build_lp(u, ALPHA_HALF, n=3)
 
 
 class TestSolveVertex:

@@ -1,10 +1,24 @@
 """Exact simplex behavior on small hand-checkable programs."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from privopt.nonoblivious import check_counterexample_infeasibility
+from privopt.optlp import optimal_mechanism_for_user
 from privopt.simplex import EQ, GE, LE, Constraint, solve_lp, verify_farkas
+
+from goldens import (
+    ALPHA_HALF,
+    BENCHMARK_ALTERNATE_OPTIMA,
+    BENCHMARK_PIVOTS,
+    BENCHMARK_USER,
+    COUNTEREXAMPLE_PATH_HALF,
+    COUNTEREXAMPLE_PATH_QUARTER,
+)
+from oracles import lp_vertices
 
 
 def test_textbook_two_var_max():
@@ -145,3 +159,76 @@ class TestTiebreak:
         # the nonbasic structural column still has zero primary reduced
         # cost: the optimal face survives the tiebreak walk
         assert 0 in res.alternate_optimum_columns()
+
+
+def _words(values):
+    return None if values is None else " ".join(str(v) for v in values)
+
+
+class TestPinnedPivotPath:
+    def test_benchmark_user(self):
+        sol = optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF)
+        assert sol.pivots == BENCHMARK_PIVOTS
+        assert sol.alternate_optima == BENCHMARK_ALTERNATE_OPTIMA
+
+    @pytest.mark.parametrize("alpha, golden", [
+        (F(1, 2), COUNTEREXAMPLE_PATH_HALF),
+        (F(1, 4), COUNTEREXAMPLE_PATH_QUARTER),
+    ], ids=["infeasible", "feasible"])
+    def test_counterexample(self, alpha, golden):
+        cert = check_counterexample_infeasibility(alpha)
+        res = cert.result
+        assert res.pivots == golden["pivots"]
+        assert _words(res.basis) == golden["basis"]
+        assert _words(res.basic_values()) == golden["basic_values"]
+        assert _words(cert.multipliers) == golden["multipliers"]
+        assert _words(res.x) == golden["x"]
+        columns = "\n".join(_words(res.tableau_column(j))
+                            for j in range(res.width))
+        assert (hashlib.sha256(columns.encode()).hexdigest()
+                == golden["tableau_sha256"])
+
+
+_coeffs = st.integers(min_value=-3, max_value=3).map(F)
+
+
+@st.composite
+def _small_lps(draw):
+    """2-4 variables, 1-4 mixed rows and the box x_j <= 5; some draws
+    carry a tie-break."""
+    k = draw(st.integers(min_value=2, max_value=4))
+
+    def vector():
+        return tuple(draw(st.lists(_coeffs, min_size=k, max_size=k)))
+
+    cons = [Constraint(vector(), draw(st.sampled_from((LE, GE, EQ))),
+                       F(draw(st.integers(min_value=-5, max_value=5))))
+            for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    cons += [Constraint(tuple(F(int(i == j)) for i in range(k)), LE, F(5))
+             for j in range(k)]
+    objective = vector()
+    tiebreak = vector() if draw(st.booleans()) else None
+    return k, cons, objective, tiebreak
+
+
+@given(_small_lps())
+@settings(max_examples=150, deadline=None)
+def test_matches_vertex_enumeration(lp):
+    k, cons, objective, tiebreak = lp
+    vertices = lp_vertices(k, cons)
+    res = solve_lp(k, cons, objective, tiebreak=tiebreak)
+    if not vertices:
+        assert res.status == "infeasible"
+        ok, why = verify_farkas(k, cons, res.farkas)
+        assert ok, why
+        return
+    tb = tiebreak or (F(0),) * k
+
+    def key(x):
+        return (sum(c * v for c, v in zip(objective, x)),
+                sum(c * v for c, v in zip(tb, x)))
+
+    assert res.status == "optimal"
+    assert res.x in vertices
+    assert res.objective == key(res.x)[0]
+    assert key(res.x) == min(map(key, vertices))
