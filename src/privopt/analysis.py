@@ -2,10 +2,11 @@
 
 Every mechanism that is simultaneously a vertex of the user LP and
 optimal for some user has a rigid shape: classify each adjacent-result
-pair in each response column as Z (both entries zero), v (upper entry
-alpha-times the lower), ^ (lower entry alpha-times the upper) or S
-(strictly between), and the grid decomposes into a block structure that
-is exactly a deterministic remap of the truncated geometric mechanism.
+pair in each response column as Z (both entries zero), v (lower entry
+alpha-times the upper), ^ (upper entry alpha-times the lower) or S
+(strictly between), as optlp.tight_set does, and the grid decomposes
+into a block structure that is exactly a deterministic remap of the
+truncated geometric mechanism.
 validate_vertex_structure checks the combinatorial claims one by one;
 derive_remap_from_constraint_matrix inverts the structure back into the
 remap; verify_factorization and verify_uniqueness turn the two optimality
@@ -31,28 +32,20 @@ from .core import (
     expected_loss,
 )
 from .mechanisms import truncated_geometric
-from .optlp import VertexSolution, optimal_mechanism_for_user
+from .optlp import (
+    DOWN,
+    SLACK,
+    UP,
+    ZERO,
+    ConstraintMatrix,
+    VertexSolution,
+    optimal_mechanism_for_user,
+    tight_set,
+)
 from .remap import optimal_remap
-
-DOWN = "v"   # alpha * x[i][r] = x[i+1][r]
-UP = "^"     # x[i][r] = alpha * x[i+1][r]
-SLACK = "S"  # strictly between the privacy bounds
-ZERO = "Z"   # both entries zero
 
 LEGEND = ("v: alpha*x[i] = x[i+1]   ^: x[i] = alpha*x[i+1]   "
           "S: strictly between   Z: both zero")
-
-
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """n x (n+1) grid classifying each vertical pair of each column."""
-
-    n: int
-    responses: tuple[int, ...]
-    grid: tuple[tuple[str, ...], ...]
-
-    def column(self, k: int) -> tuple[str, ...]:
-        return tuple(row[k] for row in self.grid)
 
 
 @dataclass(frozen=True)
@@ -90,33 +83,24 @@ class StructureReport:
         return tuple(name for name, c in self.checks.items() if not c.ok)
 
 
+def _require_feasible(m: Mechanism, a: PrivacyLevel, what: str = "") -> None:
+    """Raise StructuralError unless m is row-stochastic and alpha-private;
+    what prefixes the message ("candidate is ")."""
+    sto = check_row_stochastic(m)
+    if not sto.ok:
+        raise StructuralError(f"{what}not row-stochastic: "
+                              + "; ".join(sto.problems))
+    dp = check_differential_privacy(m, a)
+    if not dp.ok:
+        raise StructuralError(f"{what}not private at alpha={a.alpha}: "
+                              f"witness {dp.witness}")
+
+
 def constraint_matrix(m: Mechanism, a: PrivacyLevel) -> ConstraintMatrix:
     """Classify m's adjacent-result pairs. m must be a feasible mechanism;
     infeasible input has pairs that fit no class and is rejected."""
-    sto = check_row_stochastic(m)
-    if not sto.ok:
-        raise StructuralError("not row-stochastic: " + "; ".join(sto.problems))
-    dp = check_differential_privacy(m, a)
-    if not dp.ok:
-        raise StructuralError(f"not private at alpha={a.alpha}: "
-                              f"witness {dp.witness}")
-    alpha = a.alpha
-    grid = []
-    for i in range(m.n):
-        row = []
-        for k in range(len(m.responses)):
-            hi = m.rows[i][k]
-            lo = m.rows[i + 1][k]
-            if hi == 0 and lo == 0:
-                row.append(ZERO)
-            elif alpha * hi == lo:
-                row.append(DOWN)
-            elif hi == alpha * lo:
-                row.append(UP)
-            else:
-                row.append(SLACK)
-        grid.append(tuple(row))
-    return ConstraintMatrix(n=m.n, responses=m.responses, grid=tuple(grid))
+    _require_feasible(m, a)
+    return tight_set(m, a)
 
 
 def render_constraint_matrix(c: ConstraintMatrix) -> str:
@@ -157,8 +141,7 @@ def slack_accounting(c: ConstraintMatrix) -> SlackAccounting:
                            slack_prefix=tuple(prefix))
 
 
-def validate_vertex_structure(c: ConstraintMatrix,
-                              acc: SlackAccounting | None = None) -> StructureReport:
+def validate_vertex_structure(c: ConstraintMatrix) -> StructureReport:
     """Run the structural checks an optimal vertex must pass.
 
     Checks, with witnesses on failure:
@@ -171,9 +154,10 @@ def validate_vertex_structure(c: ConstraintMatrix,
       column_shape            the j-th non-Z column is ^ in the first
                               j + S_{j-1} rows, then its s_j S cells,
                               then v to the bottom
+
+    The report carries the grid's slack accounting.
     """
-    if acc is None:
-        acc = slack_accounting(c)
+    acc = slack_accounting(c)
     checks: dict[str, CheckOutcome] = {}
     nz = acc.nonzero_column_indices
 
@@ -238,19 +222,17 @@ def validate_vertex_structure(c: ConstraintMatrix,
     return StructureReport(checks=checks, accounting=acc)
 
 
-def derive_remap_from_constraint_matrix(c: ConstraintMatrix,
-                                        acc: SlackAccounting | None = None) -> Remap:
+def derive_remap_from_constraint_matrix(c: ConstraintMatrix) -> Remap:
     """Invert a validated constraint matrix into the deterministic remap
     whose action on the truncated geometric mechanism reproduces the
     vertex: the j-th non-Z column absorbs geometric responses
     j + S_{j-1} .. j + S_j."""
-    if acc is None:
-        acc = slack_accounting(c)
-    report = validate_vertex_structure(c, acc)
+    report = validate_vertex_structure(c)
     if not report.ok:
         raise StructuralError(
             "constraint matrix fails structural validation: "
             + ", ".join(report.failures()))
+    acc = report.accounting
     n = c.n
     mapping = [None] * (n + 1)
     for j, k in enumerate(acc.nonzero_column_indices):
@@ -351,14 +333,7 @@ def verify_uniqueness(a: PrivacyLevel, n: int, candidate: Mechanism) -> Uniquene
         raise StructuralError(f"candidate has n={candidate.n}, expected {n}")
     if len(candidate.responses) != n + 1:
         raise StructuralError("candidate must have a response column per result")
-    sto = check_row_stochastic(candidate)
-    if not sto.ok:
-        raise StructuralError("candidate is not row-stochastic: "
-                              + "; ".join(sto.problems))
-    dp = check_differential_privacy(candidate, a)
-    if not dp.ok:
-        raise StructuralError(f"candidate is not private at alpha={a.alpha}: "
-                              f"witness {dp.witness}")
+    _require_feasible(candidate, a, "candidate is ")
     designated = UserModel(
         prior=tuple(Fraction(1, n + 1) for _ in range(n + 1)),
         loss=LossFunction.binary())

@@ -7,7 +7,8 @@ nonoblivious (database-indexed tools), compare-laplace (closed-form
 loss comparison).
 
 Exit codes: 0 success or all checks passed; 2 a verification check
-failed (reports are still written); 1 usage error.
+failed (reports are still written); 1 usage error or structurally
+invalid input.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     to_decimal,
 )
 from .nonoblivious import check_counterexample_infeasibility, obliviate
-from .optlp import optimal_mechanism_for_user
+from .optlp import DOWN, UP, optimal_mechanism_for_user
 from .remap import optimal_remap
 
 
@@ -129,25 +130,23 @@ def _cmd_optimal(args) -> int:
     level = _parse_alpha(args.alpha)
     user = _load(args.user, serialize.user_from_jsonable, "user")
     digits = _resolve_precision(args)
-    try:
-        sol = optimal_mechanism_for_user(user, level, digits=digits)
-    except StructuralError as e:
-        raise UsageError(str(e)) from None
+    sol = optimal_mechanism_for_user(user, level, digits=digits)
     _emit(serialize.mechanism_to_jsonable(sol.mechanism, alpha=level.alpha),
           args.out)
     if args.report:
-        tight = sol.tight
+        cells = "".join("".join(row) for row in sol.tight.grid)
+        counts = {
+            "upper_ratio_pairs": cells.count(UP),
+            "lower_ratio_pairs": cells.count(DOWN),
+            "zero_entries": sum(row.count(0) for row in sol.mechanism.rows),
+            "mass_rows": sol.mechanism.n + 1,
+        }
+        counts["total"] = sum(counts.values())
         report = {
             "objective": _number_str(sol.objective),
             "objective_is_exact": isinstance(sol.objective, Fraction),
             "precision_digits": digits,
-            "tight_set": {
-                "upper_ratio_pairs": len(tight.up),
-                "lower_ratio_pairs": len(tight.down),
-                "zero_entries": len(tight.zero),
-                "mass_rows": sol.mechanism.n + 1,
-                "total": tight.count,
-            },
+            "tight_set": counts,
             "alternate_optima_columns": sol.alternate_optima,
             "simplex_pivots": sol.pivots,
         }
@@ -160,10 +159,7 @@ def _cmd_remap(args) -> int:
                         "mechanism")
     user = _load(args.user, serialize.user_from_jsonable, "user")
     digits = _resolve_precision(args)
-    try:
-        y = optimal_remap(mech, user, digits)
-    except StructuralError as e:
-        raise UsageError(str(e)) from None
+    y = optimal_remap(mech, user, digits)
     _emit(serialize.remap_to_jsonable(y), args.out)
     return 0
 
@@ -177,12 +173,9 @@ def _cmd_analyze(args) -> int:
         level = PrivacyLevel(stored_alpha)
     else:
         raise UsageError("no --alpha given and the mechanism file carries none")
-    try:
-        cm = analysis.constraint_matrix(mech, level)
-    except StructuralError as e:
-        raise UsageError(str(e)) from None
-    acc = analysis.slack_accounting(cm)
-    report = analysis.validate_vertex_structure(cm, acc)
+    cm = analysis.constraint_matrix(mech, level)
+    report = analysis.validate_vertex_structure(cm)
+    acc = report.accounting
     print(analysis.render_constraint_matrix(cm))
     data = {
         "alpha": format_rational(level.alpha),
@@ -201,7 +194,7 @@ def _cmd_analyze(args) -> int:
         "structure_ok": report.ok,
     }
     if report.ok:
-        derived = analysis.derive_remap_from_constraint_matrix(cm, acc)
+        derived = analysis.derive_remap_from_constraint_matrix(cm)
         data["derived_remap"] = {str(s): t
                                  for s, t in sorted(derived.as_map().items())}
     _emit(data, args.out)
@@ -327,10 +320,7 @@ def _cmd_obliviate(args) -> int:
         return serialize.full_mechanism_from_jsonable(data, space=space)
 
     x = _load(args.mech, parse_full, "full mechanism")
-    try:
-        m = obliviate(x)
-    except StructuralError as e:
-        raise UsageError(str(e)) from None
+    m = obliviate(x)
     _emit(serialize.mechanism_to_jsonable(m), args.out)
     return 0
 
@@ -478,7 +468,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, StructuralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

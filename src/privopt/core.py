@@ -129,12 +129,6 @@ class Mechanism:
     def column(self, k: int) -> tuple[Fraction, ...]:
         return tuple(row[k] for row in self.rows)
 
-    def response_index(self, r: int) -> int:
-        try:
-            return self.responses.index(r)
-        except ValueError:
-            raise StructuralError(f"no response labeled {r}") from None
-
 
 @dataclass(frozen=True)
 class Remap:

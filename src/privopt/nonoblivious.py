@@ -230,10 +230,7 @@ _Y1_TO_ONE = ("l", "n")
 _Y2_TO_ONE = ("l", "o")
 
 
-def build_counterexample_lp(alpha: Fraction = Fraction(1, 2),
-                            include_privacy: bool = True,
-                            include_first: bool = True,
-                            include_second: bool = True):
+def build_counterexample_lp(alpha: Fraction = Fraction(1, 2)):
     """Feasibility LP for a single mechanism serving both database-prior
     users at once.
 
@@ -267,23 +264,18 @@ def build_counterexample_lp(alpha: Fraction = Fraction(1, 2),
         constraints.append(Constraint(coeffs, EQ, Fraction(1)))
         labels.append(f"stochastic {space.label(j)}")
 
-    if include_privacy:
-        for j1, j2 in space.neighbor_pairs():
-            for r in COUNTEREXAMPLE_RESPONSES:
-                for lo, hi in ((j1, j2), (j2, j1)):
-                    coeffs = [Fraction(0)] * nv
-                    coeffs[var(dbs[lo], r)] = alpha
-                    coeffs[var(dbs[hi], r)] = Fraction(-1)
-                    constraints.append(Constraint(coeffs, LE, Fraction(0)))
-                    labels.append(f"privacy {space.label(lo)}~"
-                                  f"{space.label(hi)} response {r}")
+    for j1, j2 in space.neighbor_pairs():
+        for r in COUNTEREXAMPLE_RESPONSES:
+            for lo, hi in ((j1, j2), (j2, j1)):
+                coeffs = [Fraction(0)] * nv
+                coeffs[var(dbs[lo], r)] = alpha
+                coeffs[var(dbs[hi], r)] = Fraction(-1)
+                constraints.append(Constraint(coeffs, LE, Fraction(0)))
+                labels.append(f"privacy {space.label(lo)}~"
+                              f"{space.label(hi)} response {r}")
 
-    remaps = []
-    if include_first:
-        remaps.append(("user1", _Y1_TO_ONE, _X1))
-    if include_second:
-        remaps.append(("user2", _Y2_TO_ONE, _X2))
-    for name, to_one, target in remaps:
+    for name, to_one, target in (("user1", _Y1_TO_ONE, _X1),
+                                 ("user2", _Y2_TO_ONE, _X2)):
         to_two = tuple(r for r in COUNTEREXAMPLE_RESPONSES if r not in to_one)
         for d in _TRACKED:
             for group, col in ((to_one, 0), (to_two, 1)):
@@ -319,17 +311,13 @@ class InfeasibilityCertificate:
 
 
 def check_counterexample_infeasibility(
-        alpha: Fraction = Fraction(1, 2),
-        include_privacy: bool = True,
-        include_first: bool = True,
-        include_second: bool = True) -> InfeasibilityCertificate:
+        alpha: Fraction = Fraction(1, 2)) -> InfeasibilityCertificate:
     """Decide feasibility of the two-user instance and, when infeasible,
     return the dual witness re-verified with exact rational arithmetic:
     the witness combination of the constraints has no nonnegative part
     yet a strictly positive right-hand side, so no mechanism exists.
     """
-    nv, constraints, labels, _ = build_counterexample_lp(
-        alpha, include_privacy, include_first, include_second)
+    nv, constraints, labels, _ = build_counterexample_lp(alpha)
     objective = [Fraction(0)] * nv
     res = solve_lp(nv, constraints, objective)
     if res.status == "infeasible":

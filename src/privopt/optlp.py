@@ -9,8 +9,8 @@ vertex, and the simplex needs no feasibility phase.
 
 Irrational objectives (fractional-exponent power losses) are rationalized
 at high precision; the feasible region, and with it the vertex set, stays
-exact. A post-pass then recomputes reduced costs against the true
-objective and certifies the chosen vertex within a hard margin.
+exact. A post-pass then recomputes the reduced costs in Decimal from
+the same loss table and certifies the chosen vertex within a hard margin.
 """
 
 from __future__ import annotations
@@ -60,21 +60,26 @@ class UserLP:
         return self.n + 1
 
 
+DOWN = "v"   # alpha * x[i][r] = x[i+1][r]
+UP = "^"     # x[i][r] = alpha * x[i+1][r]
+SLACK = "S"  # strictly between the privacy bounds
+ZERO = "Z"   # both entries zero
+
+
 @dataclass(frozen=True)
-class TightSet:
-    """Constraints active at a mechanism, by kind. up holds pairs (i, r)
-    with x[i][r] = alpha*x[i+1][r], down those with alpha*x[i][r] =
-    x[i+1][r], zero the entries equal to 0; all n+1 row sums are always
-    tight and are counted, not listed."""
+class ConstraintMatrix:
+    """n x (n+1) grid classifying each vertical pair of each column by the
+    privacy constraint it holds with equality: the mechanism's tight
+    constraints. The n+1 row sums are always tight and are not listed; a
+    zero entry of a private mechanism zeroes its whole column, which then
+    reads Z throughout."""
 
     n: int
-    up: tuple[tuple[int, int], ...]
-    down: tuple[tuple[int, int], ...]
-    zero: tuple[tuple[int, int], ...]
+    responses: tuple[int, ...]
+    grid: tuple[tuple[str, ...], ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.up) + len(self.down) + len(self.zero) + self.n + 1
+    def column(self, k: int) -> tuple[str, ...]:
+        return tuple(row[k] for row in self.grid)
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class VertexSolution:
     mechanism: Mechanism
     objective: Number          # true expected loss of the vertex
     lp_objective: Fraction     # value under the (possibly rationalized) LP
-    tight: TightSet
+    tight: ConstraintMatrix
     alternate_optima: int      # optimal-face directions leaving the vertex
     pivots: int
     certified: bool            # post-pass outcome (trivially True if exact)
@@ -149,23 +154,27 @@ def _reduced_constraints(n: int, alpha: Fraction):
     return nv, cons
 
 
-def tight_set(m: Mechanism, a: PrivacyLevel) -> TightSet:
-    """Active constraints of m, computed exactly from the matrix."""
+def tight_set(m: Mechanism, a: PrivacyLevel) -> ConstraintMatrix:
+    """Active privacy constraints of m, classified exactly from the matrix.
+    Feasibility is not checked; an infeasible pair that fits no class
+    reads S."""
     alpha = a.alpha
-    up, down, zero = [], [], []
-    for r in range(m.n + 1):
-        col = m.column(r)
-        for i in range(m.n + 1):
-            if col[i] == 0:
-                zero.append((i, r))
-        for i in range(m.n):
-            if col[i] == 0 and col[i + 1] == 0:
-                continue
-            if col[i] == alpha * col[i + 1]:
-                up.append((i, r))
-            if alpha * col[i] == col[i + 1]:
-                down.append((i, r))
-    return TightSet(n=m.n, up=tuple(up), down=tuple(down), zero=tuple(zero))
+    grid = []
+    for i in range(m.n):
+        row = []
+        for k in range(len(m.responses)):
+            hi = m.rows[i][k]
+            lo = m.rows[i + 1][k]
+            if hi == 0 and lo == 0:
+                row.append(ZERO)
+            elif alpha * hi == lo:
+                row.append(DOWN)
+            elif hi == alpha * lo:
+                row.append(UP)
+            else:
+                row.append(SLACK)
+        grid.append(tuple(row))
+    return ConstraintMatrix(n=m.n, responses=m.responses, grid=tuple(grid))
 
 
 def solve_vertex(lp: UserLP) -> VertexSolution:

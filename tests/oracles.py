@@ -17,7 +17,6 @@ import sympy
 
 from privopt.core import (
     CapacityError,
-    LossTable,
     Mechanism,
     Number,
     PrivacyLevel,
@@ -28,8 +27,6 @@ from privopt.core import (
     expected_loss,
     hp_context,
 )
-from privopt.optlp import TightSet
-from privopt.remap import _target_costs
 from privopt.simplex import GE, LE
 
 
@@ -332,9 +329,28 @@ def brute_force_optimal_remap(x: Mechanism, u: UserModel,
         raise CapacityError(
             f"{count} candidate remaps exceed the enumeration limit {limit}"
         )
-    table = LossTable(u.loss, digits)
-    cost = [_target_costs(x, u, j, table) for j in range(k)]
-    ctx = None if u.loss.is_exact else table.ctx
+    ctx = None if u.loss.is_exact else hp_context(digits)
+    # cost[j][t] = sum_i p_i x[i][j] l(i, t): what answering t on
+    # response j adds to the loss
+    cost = []
+    for j in range(k):
+        weights = [(i, p * row[j])
+                   for i, (p, row) in enumerate(zip(u.prior, x.rows))]
+        if ctx is None:
+            cost.append([sum((w * u.loss.exact_value(i, t)
+                              for i, w in weights), Fraction(0))
+                         for t in range(n + 1)])
+            continue
+        col = []
+        for t in range(n + 1):
+            total = Decimal(0)
+            for i, w in weights:
+                if w:
+                    total = ctx.add(total, ctx.multiply(
+                        ctx.divide(Decimal(w.numerator), Decimal(w.denominator)),
+                        u.loss.hp_value(i, t, ctx)))
+            col.append(total)
+        cost.append(col)
     best_map = None
     best_total = None
     for candidate in itertools.product(range(n + 1), repeat=k):
@@ -354,31 +370,33 @@ def brute_force_optimal_remap(x: Mechanism, u: UserModel,
     return remap, expected_loss(compose(remap, x), u, digits)
 
 
-def tight_rank(ts: TightSet, a: PrivacyLevel) -> int:
-    """Rank of the active constraint rows at a concrete privacy level."""
-    n = ts.n
+def tight_rank(m: Mechanism, a: PrivacyLevel) -> int:
+    """Rank of the LP constraint rows m holds with equality at a concrete
+    privacy level, read off the matrix: zero entries, row sums, and each
+    adjacent pair (not both zero) on either privacy ratio bound."""
+    n = m.n
     alpha = a.alpha
     width = (n + 1) ** 2
-    rows = []
-    for i, r in ts.zero:
+
+    def row(*entries):
         v = [Fraction(0)] * width
-        v[i * (n + 1) + r] = Fraction(1)
-        rows.append(v)
-    for i in range(n + 1):
-        v = [Fraction(0)] * width
-        for r in range(n + 1):
-            v[i * (n + 1) + r] = Fraction(1)
-        rows.append(v)
-    for i, r in ts.up:
-        v = [Fraction(0)] * width
-        v[i * (n + 1) + r] = Fraction(1)
-        v[(i + 1) * (n + 1) + r] = -alpha
-        rows.append(v)
-    for i, r in ts.down:
-        v = [Fraction(0)] * width
-        v[i * (n + 1) + r] = alpha
-        v[(i + 1) * (n + 1) + r] = Fraction(-1)
-        rows.append(v)
+        for i, r, c in entries:
+            v[i * (n + 1) + r] = c
+        return v
+
+    rows = [row((i, r, Fraction(1)))
+            for i in range(n + 1) for r in range(n + 1) if m.rows[i][r] == 0]
+    rows += [row(*((i, r, Fraction(1)) for r in range(n + 1)))
+             for i in range(n + 1)]
+    for r in range(n + 1):
+        col = m.column(r)
+        for i in range(n):
+            if col[i] == 0 and col[i + 1] == 0:
+                continue
+            if col[i] == alpha * col[i + 1]:
+                rows.append(row((i, r, Fraction(1)), (i + 1, r, -alpha)))
+            if alpha * col[i] == col[i + 1]:
+                rows.append(row((i, r, alpha), (i + 1, r, Fraction(-1))))
     return _rank(rows)
 
 

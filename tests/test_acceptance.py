@@ -28,7 +28,6 @@ from privopt import (
 from privopt.analysis import (
     constraint_matrix,
     random_user,
-    slack_accounting,
     validate_vertex_structure,
     verify_factorization,
     verify_uniqueness,
@@ -103,8 +102,8 @@ def test_benchmark_grid_and_structure(capsys):
     golden = Mechanism(n=5, responses=tuple(range(6)), rows=BENCHMARK_VERTEX)
     t0 = time.perf_counter()
     c = constraint_matrix(golden, ALPHA_HALF)
-    acc = slack_accounting(c)
-    rep = validate_vertex_structure(c, acc)
+    rep = validate_vertex_structure(c)
+    acc = rep.accounting
     dt = time.perf_counter() - t0
     grid = tuple("".join(row) for row in c.grid)
     ok = (grid == BENCHMARK_GRID and rep.ok and acc.total_slack == 1

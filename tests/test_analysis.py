@@ -9,10 +9,13 @@ from fractions import Fraction as F
 import pytest
 
 from privopt import (
+    LossFunction,
     Mechanism,
     PrivacyLevel,
     StructuralError,
+    UserModel,
     compose,
+    optimal_mechanism_for_user,
     truncated_geometric,
     verify_factorization,
     verify_uniqueness,
@@ -96,6 +99,22 @@ class TestStructureChecks:
             "no_uniform_row", "row_shape", "down_growth",
             "slack_geq_zero_columns", "slack_eq_zero_columns", "column_shape",
         }
+
+    def test_accounting_is_the_grids_own(self):
+        # the accounting of another vertex's grid made the geometric grid
+        # fail down_growth and column_shape; it can no longer be passed in
+        c = constraint_matrix(truncated_geometric(ALPHA_HALF, 3), ALPHA_HALF)
+        u = UserModel(prior=(F(1, 4), F(0), F(1, 4), F(1, 2)),
+                      loss=LossFunction.absolute())
+        vertex = optimal_mechanism_for_user(u, ALPHA_HALF).mechanism
+        other = slack_accounting(constraint_matrix(vertex, ALPHA_HALF))
+        report = validate_vertex_structure(c)
+        assert report.ok
+        assert report.accounting == slack_accounting(c) != other
+        with pytest.raises(TypeError):
+            validate_vertex_structure(c, other)
+        with pytest.raises(TypeError):
+            derive_remap_from_constraint_matrix(c, other)
 
     def test_failing_vertex_reports_witness(self):
         # feasible vertex that is not a geometric remap: its report fails

@@ -126,6 +126,15 @@ class TestAnalyze:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["structure_ok"] is True
 
+    def test_out_of_range_embedded_alpha_is_an_error(self, tmp_path, capsys):
+        data = mechanism_to_jsonable(truncated_geometric(ALPHA_HALF, 2))
+        data["alpha"] = "2"
+        mech = tmp_path / "m.json"
+        mech.write_text(dumps(data))
+        assert main(["analyze", "--mech", str(mech)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha=2" in err
+
 
 class TestVerify:
     def test_small_sweep_passes(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from privopt import (
     truncated_geometric,
 )
 from privopt.analysis import random_user
-from privopt.optlp import build_lp, solve_vertex, tight_set
+from privopt.optlp import DOWN, UP, ZERO, build_lp, solve_vertex, tight_set
 
 from goldens import ALPHA_HALF, BENCHMARK_USER, BENCHMARK_VERTEX, endpoint_user
 from oracles import agree, enumerate_vertices, tight_rank
@@ -163,9 +163,11 @@ class TestTightness:
             n = rng.randint(1, 4)
             u = random_user(rng, n)
             sol = optimal_mechanism_for_user(u, ALPHA_HALF)
-            ts = sol.tight
-            assert ts.count >= (n + 1) ** 2
-            assert tight_rank(ts, ALPHA_HALF) == (n + 1) ** 2
+            cells = "".join("".join(row) for row in sol.tight.grid)
+            count = (cells.count(UP) + cells.count(DOWN) + n + 1
+                     + sum(row.count(0) for row in sol.mechanism.rows))
+            assert count >= (n + 1) ** 2
+            assert tight_rank(sol.mechanism, ALPHA_HALF) == (n + 1) ** 2
 
     def test_geometric_feasibility_wide(self):
         # the geometric mechanism satisfies every LP constraint exactly
@@ -178,10 +180,10 @@ class TestTightness:
 
     def test_tight_set_of_geometric(self):
         g = truncated_geometric(ALPHA_HALF, 2)
-        ts = tight_set(g, ALPHA_HALF)
+        cells = "".join("".join(row) for row in tight_set(g, ALPHA_HALF).grid)
         # every adjacent pair in every column is on the ratio boundary
-        assert len(ts.up) + len(ts.down) == 6
-        assert ts.zero == ()
+        assert cells.count(UP) + cells.count(DOWN) == 6
+        assert ZERO not in cells
 
 
 class TestCertification:
