@@ -72,6 +72,9 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """The structural checks of one grid, with the grid they ran on."""
+
+    grid: ConstraintMatrix
     checks: dict[str, CheckOutcome]
     accounting: SlackAccounting
 
@@ -155,7 +158,7 @@ def validate_vertex_structure(c: ConstraintMatrix) -> StructureReport:
                               j + S_{j-1} rows, then its s_j S cells,
                               then v to the bottom
 
-    The report carries the grid's slack accounting.
+    The report carries the grid and its slack accounting.
     """
     acc = slack_accounting(c)
     checks: dict[str, CheckOutcome] = {}
@@ -219,19 +222,23 @@ def validate_vertex_structure(c: ConstraintMatrix) -> StructureReport:
             break
     checks["column_shape"] = CheckOutcome(bad is None, bad)
 
-    return StructureReport(checks=checks, accounting=acc)
+    return StructureReport(grid=c, checks=checks, accounting=acc)
 
 
-def derive_remap_from_constraint_matrix(c: ConstraintMatrix) -> Remap:
+def derive_remap_from_constraint_matrix(
+        c: ConstraintMatrix | StructureReport) -> Remap:
     """Invert a validated constraint matrix into the deterministic remap
     whose action on the truncated geometric mechanism reproduces the
     vertex: the j-th non-Z column absorbs geometric responses
-    j + S_{j-1} .. j + S_j."""
-    report = validate_vertex_structure(c)
+    j + S_{j-1} .. j + S_j. Takes a grid, which it validates, or the
+    StructureReport of one already validated."""
+    report = (c if isinstance(c, StructureReport)
+              else validate_vertex_structure(c))
     if not report.ok:
         raise StructuralError(
             "constraint matrix fails structural validation: "
             + ", ".join(report.failures()))
+    c = report.grid
     acc = report.accounting
     n = c.n
     mapping = [None] * (n + 1)
@@ -276,9 +283,9 @@ def verify_factorization(u: UserModel, a: PrivacyLevel,
     optimal for u, and that the LP vertex is that remap in disguise.
 
     Losses must agree exactly for rational losses, and within 1e-30 for
-    irrational ones. The vertex's constraint matrix must pass all
-    structural checks and the remap derived from it must reproduce the
-    vertex bit for bit.
+    irrational ones. The vertex must be feasible, the constraint matrix
+    the solve returned with it must pass all structural checks, and the
+    remap derived from that grid must reproduce the vertex bit for bit.
     """
     n = u.n
     g = truncated_geometric(a, n)
@@ -291,12 +298,12 @@ def verify_factorization(u: UserModel, a: PrivacyLevel,
         losses_match = l1 == l2
     else:
         losses_match = abs(l1 - l2) <= LOSS_TOLERANCE
-    cm = constraint_matrix(sol.mechanism, a)
-    structure = validate_vertex_structure(cm)
+    _require_feasible(sol.mechanism, a)
+    structure = validate_vertex_structure(sol.tight)
     derived = None
     reconstruction_ok = False
     if structure.ok:
-        derived = derive_remap_from_constraint_matrix(cm)
+        derived = derive_remap_from_constraint_matrix(structure)
         reconstruction_ok = compose(derived, g).rows == sol.mechanism.rows
     return FactorizationCheck(n=n, alpha=a.alpha, user=u, remap=y, vertex=sol,
                               remap_loss=l1, lp_loss=l2,

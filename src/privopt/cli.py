@@ -194,7 +194,7 @@ def _cmd_analyze(args) -> int:
         "structure_ok": report.ok,
     }
     if report.ok:
-        derived = analysis.derive_remap_from_constraint_matrix(cm)
+        derived = analysis.derive_remap_from_constraint_matrix(report)
         data["derived_remap"] = {str(s): t
                                  for s, t in sorted(derived.as_map().items())}
     _emit(data, args.out)

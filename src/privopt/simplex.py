@@ -2,13 +2,18 @@
 
 Solves min c.x subject to rational linear constraints and x >= 0 entirely
 in exact arithmetic. The tableau is one list of integer rows, the
-constraint rows and then the cost rows, each with its right-hand side as
-its last entry and its own positive denominator. Pivots are fraction-free
-(Edmonds-style): pivoting on element p sends entry a of a row with f in
-the pivot column to (p*a - f*b) / d, d that row's denominator, every
-division exact, and p becomes its new denominator. Rows with a zero in
-the pivot column are not touched. This avoids per-entry gcd work and
-keeps entries the size of minors of the input.
+constraint rows and then the cost rows, each with its own positive
+denominator. A row is sparse: a dict from column to its nonzero entry,
+the right-hand side under the key -1, and no zero ever stored, so a
+missing key reads 0. The privacy LPs this package solves tie two entries
+per constraint, and their tableaus stay almost all zeros. Pivots are
+fraction-free (Edmonds-style): pivoting on element p sends entry a of a
+row with f in the pivot column to (p*a - f*b) / d, d that row's
+denominator, every division exact, and p becomes its new denominator.
+Only the columns where the pivot row b is nonzero need that formula;
+every other entry becomes p*a / d. Rows with a zero in the pivot column
+are not touched. This avoids per-entry gcd work and keeps entries the
+size of minors of the input.
 
 Pivot selection is Dantzig's rule for speed, switching permanently to
 Bland's rule after a long run of degenerate pivots, which guarantees
@@ -27,6 +32,7 @@ LE = "<="
 GE = ">="
 EQ = "=="
 
+_RHS = -1   # key of a row's right-hand side, read as tableau column -1
 _DEGENERATE_STREAK_LIMIT = 40
 _PIVOT_LIMIT = 200_000
 
@@ -48,18 +54,19 @@ class Constraint:
         object.__setattr__(self, "rhs", _frac(self.rhs))
 
 
-def _integer_cost_row(cost: list[Fraction], total: int) -> list[int]:
+def _integer_cost_row(cost: list[Fraction]) -> dict[int, int]:
     """cost scaled by the lcm of its denominators, as a tableau row: zero
     on the slack and artificial columns and on the right-hand side."""
     scale = lcm(*(c.denominator for c in cost))
-    return ([c.numerator * (scale // c.denominator) for c in cost]
-            + [0] * (total - len(cost) + 1))
+    return {j: c.numerator * (scale // c.denominator)
+            for j, c in enumerate(cost) if c}
 
 
 class _Core:
-    """One list of integer rows: the constraint rows, then the cost rows,
-    each with its right-hand side as the last entry. Row i stands for
-    rows[i] / dens[i]; den is the last pivot element."""
+    """One list of sparse integer rows: the constraint rows, then the cost
+    rows, each mapping column to nonzero entry, with the right-hand side
+    under _RHS. Row i stands for rows[i] / dens[i]; den is the last pivot
+    element."""
 
     __slots__ = ("rows", "dens", "den", "basis", "width", "art_cols")
 
@@ -79,21 +86,29 @@ def _pivot(core: _Core, pr: int, pc: int):
     every entry of the tableau at that scale is an integer minor of the
     input (Bareiss), so the division is exact. A row with f != 0 in the
     pivot column then becomes (piv*a - f*b) / dens[i], exact for the same
-    reason, at the new denominator piv. Every other row keeps its entries
-    and its own denominator; pivoting on a row at a stale denominator
-    would not be exact.
+    reason, at the new denominator piv. Off the pivot row's nonzeros b is
+    0, so that is piv*a / dens[i], nonzero wherever a is; on them the
+    entry is stored only when it does not cancel. Every other row keeps
+    its entries and its own denominator; pivoting on a row at a stale
+    denominator would not be exact.
     """
     rows, dens, den = core.rows, core.dens, core.den
     prow = rows[pr]
     if dens[pr] != den:
-        prow = [b * den // dens[pr] for b in prow]
+        d = dens[pr]
+        prow = {j: b * den // d for j, b in prow.items()}
         rows[pr] = prow
     piv = prow[pc]
     for i, row in enumerate(rows):
-        f = row[pc]
+        f = row.get(pc)
         if f and i != pr:
             d = dens[i]
-            rows[i] = [(piv * a - f * b) // d for a, b in zip(row, prow)]
+            new = {j: piv * a // d for j, a in row.items() if j not in prow}
+            for j, b in prow.items():
+                v = (piv * row.get(j, 0) - f * b) // d
+                if v:
+                    new[j] = v
+            rows[i] = new
             dens[i] = piv
     dens[pr] = piv
     core.den = piv
@@ -101,11 +116,11 @@ def _pivot(core: _Core, pr: int, pc: int):
 
 
 def _run(core: _Core, cost_index: int,
-         restrict: Sequence[int] | None = None) -> tuple[str, int]:
+         restrict: set[int] | None = None) -> tuple[str, int]:
     """Pivot until the cost row at cost_index is optimal. Artificial
     columns never enter: once driven out they are not needed again, and
     when the phase-1 optimum is positive the restricted dual still
-    certifies infeasibility. With restrict, an ascending list, only those
+    certifies infeasibility. With restrict, a set of columns, only those
     columns may enter: pivoting on a column whose reduced cost is zero in
     another cost row leaves that row unchanged up to positive scale, so
     restricting to such columns walks a face on which the other objective
@@ -118,24 +133,23 @@ def _run(core: _Core, cost_index: int,
     streak = 0
     pivots = 0
     while True:
-        # Dantzig's most negative reduced cost, or Bland's first negative
-        cost = core.rows[cost_index]
-        pc = None
-        best = 0
-        for j in cols:
-            if cost[j] < best:
-                best, pc = cost[j], j
-                if bland:
-                    break
-        if pc is None:
+        # Dantzig's most negative reduced cost, or Bland's first negative,
+        # ties to the lowest column as in an ascending scan
+        negative = [(v, j) for j, v in core.rows[cost_index].items()
+                    if v < 0 and j in cols]
+        if not negative:
             return "optimal", pivots
+        if bland:
+            pc = min(j for _, j in negative)
+        else:
+            pc = min(negative)[1]
         pr = None
         best_num = best_den = None
         for i in range(m):
             row = core.rows[i]
-            a = row[pc]
+            a = row.get(pc, 0)
             if a > 0:
-                b = row[-1]
+                b = row.get(_RHS, 0)
                 if pr is None or b * best_den < best_num * a or (
                         b * best_den == best_num * a
                         and core.basis[i] < core.basis[pr]):
@@ -186,11 +200,11 @@ class SimplexResult:
         """Column j of B^-1 A over the constraint rows, exact; column -1
         is B^-1 b."""
         core = self._core
-        return tuple(Fraction(core.rows[i][j], core.dens[i])
+        return tuple(Fraction(core.rows[i].get(j, 0), core.dens[i])
                      for i in range(len(core.basis)))
 
     def basic_values(self) -> tuple[Fraction, ...]:
-        return self.tableau_column(-1)
+        return self.tableau_column(_RHS)
 
     def alternate_optimum_columns(self) -> tuple[int, ...]:
         """Nonbasic non-artificial columns with zero reduced cost: the
@@ -199,7 +213,7 @@ class SimplexResult:
         basic = set(core.basis)
         cost = core.rows[len(core.basis)]
         return tuple(j for j in range(core.width)
-                     if j not in basic and cost[j] == 0)
+                     if j not in basic and j not in cost)
 
 
 def solve_lp(num_vars: int, constraints: Sequence[Constraint],
@@ -268,7 +282,9 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
     rows = []
     basis = []
     for i in range(m):
-        row = int_rows[i] + [0] * (total - num_vars) + [int_rhs[i]]
+        row = {j: v for j, v in enumerate(int_rows[i]) if v}
+        if int_rhs[i]:
+            row[_RHS] = int_rhs[i]
         if i in slack_col:
             row[slack_col[i]] = slack_signs[i]
         if i in art_col:
@@ -277,26 +293,26 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
         else:
             basis.append(slack_col[i])
         rows.append(row)
-    rows += [_integer_cost_row(cost, total) for cost in costs]
+    rows += [_integer_cost_row(cost) for cost in costs]
     core = _Core(rows, basis, width, total)
 
     pivots = 0
     if art_col:
         # phase 1: minimize the artificial total in a cost row at index m;
         # it starts reduced against the artificial part of the basis
-        cost1 = [0] * (total + 1)
+        cost1 = {}
         for i in art_col:
-            cost1 = [a - b for a, b in zip(cost1, rows[i])]
-        for c in art_col.values():
-            cost1[c] = 0
-        rows.insert(m, cost1)
+            for j, v in rows[i].items():
+                cost1[j] = cost1.get(j, 0) - v
+        rows.insert(m, {j: v for j, v in cost1.items()
+                        if v and j not in core.art_cols})
         core.dens.insert(m, 1)
         status, p = _run(core, m)
         pivots += p
         if status != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         infeasibility = sum(
-            (Fraction(rows[i][-1], core.dens[i])
+            (Fraction(rows[i].get(_RHS, 0), core.dens[i])
              for i in range(m) if core.basis[i] in core.art_cols),
             Fraction(0))
         if infeasibility > 0:
@@ -308,7 +324,7 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
                 else:
                     col, c1 = slack_col[i], Fraction(0)
                     coeff = Fraction(slack_signs[i])
-                reduced = Fraction(rows[m][col], core.dens[m])
+                reduced = Fraction(rows[m].get(col, 0), core.dens[m])
                 y_i = (c1 - reduced) / coeff
                 lam.append(y_i * scales[i])
             lam = tuple(lam)
@@ -328,14 +344,14 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
     if tiebreak is not None:
         # walk the optimal face: columns with nonzero primary reduced cost
         # stay out of the basis, so the primary value cannot move
-        face = [j for j in range(width) if rows[m][j] == 0]
+        face = {j for j in range(width) if j not in rows[m]}
         status, p = _run(core, m + 1, restrict=face)
         pivots += p
 
     x = [Fraction(0)] * num_vars
     for i, b in enumerate(core.basis):
         if b < num_vars:
-            x[b] = Fraction(rows[i][-1], core.dens[i])
+            x[b] = Fraction(rows[i].get(_RHS, 0), core.dens[i])
     value = sum((c * v for c, v in zip(obj, x)), Fraction(0))
     return SimplexResult("optimal", num_vars, x=tuple(x), objective=value,
                          pivots=pivots, core=core)
@@ -344,28 +360,24 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
 def _drive_out_artificials(core: _Core):
     """After a zero-cost phase 1, pivot basic artificials onto structural
     or slack columns. A row with no eligible pivot is redundant; it stays
-    behind as an all-zero row that no later step can select."""
+    behind as an empty row that no later step can select."""
     rows = core.rows
+    eligible = range(core.width)
     for i in range(len(core.basis)):
         if core.basis[i] not in core.art_cols:
             continue
-        target = None
-        for j in range(core.width):
-            if rows[i][j] != 0:
-                target = j
-                break
+        target = min((j for j in rows[i] if j in eligible), default=None)
         if target is None:
             continue
         if rows[i][target] < 0:
             # the row's value is zero, so flipping its sign is sound and
             # makes the pivot element positive as _pivot requires
-            rows[i] = [-v for v in rows[i]]
+            rows[i] = {j: -v for j, v in rows[i].items()}
         _pivot(core, i, target)
-    # artificials are dead from here on; blank them so no later phase can
-    # see them and so redundant rows become fully zero
-    for row in rows:
-        for j in core.art_cols:
-            row[j] = 0
+    # artificials are dead from here on; drop them so no later phase can
+    # see them and so redundant rows become empty
+    for k, row in enumerate(rows):
+        rows[k] = {j: v for j, v in row.items() if j not in core.art_cols}
 
 
 def verify_farkas(num_vars: int, constraints: Sequence[Constraint],

@@ -219,3 +219,44 @@ COUNTEREXAMPLE_PATH_QUARTER = dict(
     tableau_sha256=(
         "33212bb3f1f8c04ce73b93878ca20aafd3d121ae43a3b0d5c0d07c4779841d01"),
 )
+
+# The per-user LP at n = 8, alpha 1/2, for a full-support user with prior
+# weights USER_8_WEIGHTS (normalized), under absolute and power-3/2 loss:
+# its simplex result's pivots, the vertex's alternate optima, the final
+# basis, and the SHA-256 of the basic values and of every
+# tableau_column(j), j = 0..width-1, written as above.
+USER_8_WEIGHTS = (5, 3, 8, 1, 9, 2, 7, 4, 6)
+USER_8_PATH_ABSOLUTE = dict(
+    pivots=76,
+    alternate_optima=0,
+    basis=(
+        "72 0 74 8 76 16 78 24 80 32 82 40 84 48 86 56 88 89 90 106 92 17 94 "
+        "25 96 33 98 41 100 49 102 57 10 105 18 107 108 2 110 26 112 34 114 "
+        "42 116 50 118 58 11 121 19 123 27 125 126 3 128 35 130 43 132 51 134 "
+        "59 12 137 20 139 28 141 36 143 144 4 146 44 148 52 150 60 13 153 21 "
+        "155 29 157 37 159 45 161 162 5 164 53 166 61 14 169 22 171 30 173 38 "
+        "175 46 177 54 179 180 6 182 62 15 185 23 187 31 189 39 191 47 193 55 "
+        "195 63 197 198 7 201 67 203 66 65 205 64 207 68 209 69 211 70 213 71 "
+        "215 216 217 218 219 220 221 222 223 224"),
+    basic_values_sha256=(
+        "b140cb53daa4097dd6f2da1ff1beb0bca70d6cc979714efb3a2fdd804a81fbab"),
+    tableau_sha256=(
+        "e4d0944ff1ef5e188d455cd52380cd90f954e027088a8f9b3ba5920d9e86c2b6"),
+)
+USER_8_PATH_POWER = dict(
+    pivots=78,
+    alternate_optima=0,
+    basis=(
+        "72 88 74 8 76 16 78 24 80 32 82 40 84 48 86 56 9 106 90 1 92 17 94 "
+        "25 96 33 98 41 100 49 102 57 10 105 18 107 108 2 110 26 112 34 114 "
+        "42 116 50 118 58 11 121 19 123 27 125 126 3 128 35 130 43 132 51 134 "
+        "59 12 137 20 139 28 141 36 143 144 4 146 44 148 52 150 60 13 153 21 "
+        "155 29 157 37 159 45 161 162 5 164 53 166 61 14 169 22 171 30 173 38 "
+        "175 46 177 54 179 180 6 182 62 15 185 23 187 31 189 39 191 47 193 55 "
+        "195 63 197 198 7 199 67 202 66 65 205 64 207 68 209 69 211 70 213 71 "
+        "215 216 217 218 219 220 221 222 223 224"),
+    basic_values_sha256=(
+        "6d1ddc7874e9aaf314b2cef5a7e479d36dac5c145ebb44e6b4b16ddfb837c782"),
+    tableau_sha256=(
+        "b7a00a55c0548d7e12ccf081c70cb2d561cb983bd2306b1174f822ad79b20ba7"),
+)

@@ -4,6 +4,7 @@ battery, remap derivation, factorization, and uniqueness."""
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from privopt import (
     verify_factorization,
     verify_uniqueness,
 )
+from privopt import analysis, optlp
 from privopt.analysis import (
     constraint_matrix,
     derive_remap_from_constraint_matrix,
@@ -146,6 +148,12 @@ class TestDerivedRemap:
         y = derive_remap_from_constraint_matrix(constraint_matrix(g, ALPHA_HALF))
         assert y.as_map() == {0: 0, 1: 1, 2: 2, 3: 3}
 
+    def test_from_report(self):
+        report = validate_vertex_structure(
+            constraint_matrix(benchmark_mechanism(), ALPHA_HALF))
+        y = derive_remap_from_constraint_matrix(report)
+        assert y.as_map() == BENCHMARK_DERIVED_MAP
+
 
 class TestFactorization:
     def test_benchmark_user_full_chain(self):
@@ -154,6 +162,24 @@ class TestFactorization:
         assert chk.structure.ok
         assert chk.reconstruction_ok
         assert chk.ok
+
+    def test_vertex_checked_once(self, monkeypatch):
+        # the grid comes with the solve; it is classified, checked for
+        # feasibility and validated once, and the derivation reuses the
+        # report
+        calls = Counter()
+        for module, name in ((optlp, "tight_set"), (analysis, "tight_set"),
+                             (analysis, "_require_feasible"),
+                             (analysis, "validate_vertex_structure")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(module, name, counted)
+        chk = verify_factorization(BENCHMARK_USER, ALPHA_HALF)
+        assert chk.ok
+        assert chk.structure.grid is chk.vertex.tight
+        assert calls == {"tight_set": 1, "_require_feasible": 1,
+                         "validate_vertex_structure": 1}
 
     def test_degenerate_users_still_factor(self):
         # zero prior mass and flat losses used to admit optimal vertices

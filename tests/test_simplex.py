@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privopt import LossFunction, UserModel, optlp
 from privopt.nonoblivious import check_counterexample_infeasibility
 from privopt.optlp import optimal_mechanism_for_user
 from privopt.simplex import EQ, GE, LE, Constraint, solve_lp, verify_farkas
@@ -17,6 +18,9 @@ from goldens import (
     BENCHMARK_USER,
     COUNTEREXAMPLE_PATH_HALF,
     COUNTEREXAMPLE_PATH_QUARTER,
+    USER_8_PATH_ABSOLUTE,
+    USER_8_PATH_POWER,
+    USER_8_WEIGHTS,
 )
 from oracles import lp_vertices
 
@@ -56,6 +60,30 @@ def test_equality_constraints_via_phase1():
     assert res.status == "optimal"
     assert res.x == (F(1, 2), F(1, 2), F(0))
     assert res.objective == F(3, 2)
+
+
+@pytest.mark.parametrize("tiebreak", [None, (F(0), F(-1), F(1))],
+                         ids=["plain", "tiebreak"])
+def test_duplicate_equality_row_is_left_empty(tiebreak):
+    # the second row repeats the first, so phase 1 leaves one artificial
+    # basic in a row with no structural or slack entry to pivot on
+    cons = [
+        Constraint((F(1), F(1), F(1)), EQ, F(2)),
+        Constraint((F(1), F(1), F(1)), EQ, F(2)),
+        Constraint((F(1), F(-1), F(0)), LE, F(1)),
+        Constraint((F(0), F(1), F(2)), GE, F(1)),
+    ]
+    objective = (F(1), F(0), F(0))
+    res = solve_lp(3, cons, objective, tiebreak=tiebreak)
+    assert res.status == "optimal"
+    vertices = lp_vertices(3, cons)
+    assert res.x in vertices
+    assert res.objective == min(sum(c * v for c, v in zip(objective, x))
+                                for x in vertices)
+    redundant = [i for i, b in enumerate(res.basis) if b >= res.width]
+    assert len(redundant) == 1
+    (i,) = redundant
+    assert all(res.tableau_column(j)[i] == 0 for j in range(-1, res.width))
 
 
 def test_unbounded_detected():
@@ -165,6 +193,15 @@ def _words(values):
     return None if values is None else " ".join(str(v) for v in values)
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _columns_sha256(res):
+    return _sha256("\n".join(_words(res.tableau_column(j))
+                             for j in range(res.width)))
+
+
 class TestPinnedPivotPath:
     def test_benchmark_user(self):
         sol = optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF)
@@ -183,10 +220,31 @@ class TestPinnedPivotPath:
         assert _words(res.basic_values()) == golden["basic_values"]
         assert _words(cert.multipliers) == golden["multipliers"]
         assert _words(res.x) == golden["x"]
-        columns = "\n".join(_words(res.tableau_column(j))
-                            for j in range(res.width))
-        assert (hashlib.sha256(columns.encode()).hexdigest()
-                == golden["tableau_sha256"])
+        assert _columns_sha256(res) == golden["tableau_sha256"]
+
+    @pytest.mark.parametrize("loss, golden", [
+        (LossFunction.absolute(), USER_8_PATH_ABSOLUTE),
+        (LossFunction.power(F(3, 2)), USER_8_PATH_POWER),
+    ], ids=["absolute", "power"])
+    def test_user_lp(self, monkeypatch, loss, golden):
+        results = []
+
+        def solve_and_keep(*args, **kwargs):
+            results.append(solve_lp(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(optlp, "solve_lp", solve_and_keep)
+        prior = tuple(F(w, sum(USER_8_WEIGHTS)) for w in USER_8_WEIGHTS)
+        sol = optimal_mechanism_for_user(UserModel(prior, loss), ALPHA_HALF)
+        (res,) = results
+        assert res.pivots == sol.pivots == golden["pivots"]
+        assert sol.alternate_optima == golden["alternate_optima"]
+        assert (len(res.alternate_optimum_columns())
+                == golden["alternate_optima"])
+        assert _words(res.basis) == golden["basis"]
+        assert (_sha256(_words(res.basic_values()))
+                == golden["basic_values_sha256"])
+        assert _columns_sha256(res) == golden["tableau_sha256"]
 
 
 _coeffs = st.integers(min_value=-3, max_value=3).map(F)
