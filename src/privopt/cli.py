@@ -24,9 +24,7 @@ from . import analysis, mechanisms, serialize
 from .core import (
     DEFAULT_PRECISION,
     PrivacyLevel,
-    PRECISION_ENV_VAR,
     StructuralError,
-    default_precision,
     format_rational,
     hp_context,
     parse_rational,
@@ -82,14 +80,9 @@ class RunReport:
 
 
 def _resolve_precision(args) -> int:
-    if getattr(args, "precision", None) is not None:
-        if args.precision < 1:
-            raise UsageError("--precision must be a positive integer")
-        return args.precision
-    try:
-        return default_precision()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    if args.precision < 1:
+        raise UsageError("--precision must be a positive integer")
+    return args.precision
 
 
 def _parse_alpha(text: str) -> PrivacyLevel:
@@ -370,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     def add_precision(p):
-        p.add_argument("--precision", type=int, default=None,
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                        help=f"decimal digits for irrational losses "
-                            f"(default {DEFAULT_PRECISION}, or the "
-                            f"{PRECISION_ENV_VAR} env var)")
+                            f"(default {DEFAULT_PRECISION})")
 
     p = sub.add_parser("mech", help="construct a named mechanism")
     p.add_argument("kind", choices=["geometric"],

@@ -11,7 +11,6 @@ between the two: every loss-weighted sum in the package goes through it.
 from __future__ import annotations
 
 import decimal
-import os
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -21,7 +20,6 @@ Rational = Fraction
 Number = Union[Fraction, Decimal]
 
 DEFAULT_PRECISION = 64
-PRECISION_ENV_VAR = "PRIVOPT_PRECISION"
 
 
 class StructuralError(ValueError):
@@ -32,22 +30,9 @@ class CapacityError(RuntimeError):
     """An exhaustive search was asked to enumerate too large a space."""
 
 
-def default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        digits = int(raw)
-    except ValueError:
-        digits = 0  # rejected below with the same message as "0"
-    if digits < 1:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be a positive integer, got {raw!r}")
-    return digits
-
-
 def hp_context(digits: int | None = None) -> decimal.Context:
     """Decimal context used for all high-precision (non-rational) evaluation."""
-    return decimal.Context(prec=digits if digits is not None else default_precision())
+    return decimal.Context(prec=digits if digits is not None else DEFAULT_PRECISION)
 
 
 def to_decimal(q: Fraction, ctx: decimal.Context) -> Decimal:
@@ -278,7 +263,7 @@ class LossTable:
 
     Built-in kinds depend on |i - r| only and are cached per distance,
     tabulated losses per cell. Values are Fractions for rational losses
-    and Decimals at `digits` (default_precision() when None) otherwise.
+    and Decimals at `digits` (DEFAULT_PRECISION when None) otherwise.
     This class is the only code that picks between the two arithmetics.
     """
 

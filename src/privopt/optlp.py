@@ -118,39 +118,27 @@ def _reduced_constraints(n: int, alpha: Fraction):
     feasible slack basis.
     """
     nv = n * (n + 1)
-    zero = Fraction(0)
     cons = []
 
-    def idx(i, r):
-        return i * n + r
+    def add(terms, rhs):
+        """One <= row from (i, r, coefficient) terms."""
+        row = [Fraction(0)] * nv
+        for i, r, c in terms:
+            row[i * n + r] = c
+        cons.append(Constraint(tuple(row), LE, rhs))
 
     for r in range(n):
         for i in range(n):
-            row = [zero] * nv
-            row[idx(i, r)] = Fraction(-1)
-            row[idx(i + 1, r)] = alpha
-            cons.append(Constraint(tuple(row), LE, zero))
-            row = [zero] * nv
-            row[idx(i, r)] = alpha
-            row[idx(i + 1, r)] = Fraction(-1)
-            cons.append(Constraint(tuple(row), LE, zero))
+            add([(i, r, -1), (i + 1, r, alpha)], 0)
+            add([(i, r, alpha), (i + 1, r, -1)], 0)
     gap = 1 - alpha
     for i in range(n):
-        row = [zero] * nv
-        for r in range(n):
-            row[idx(i, r)] = Fraction(1)
-            row[idx(i + 1, r)] = -alpha
-        cons.append(Constraint(tuple(row), LE, gap))
-        row = [zero] * nv
-        for r in range(n):
-            row[idx(i, r)] = -alpha
-            row[idx(i + 1, r)] = Fraction(1)
-        cons.append(Constraint(tuple(row), LE, gap))
+        add([(i, r, 1) for r in range(n)]
+            + [(i + 1, r, -alpha) for r in range(n)], gap)
+        add([(i, r, -alpha) for r in range(n)]
+            + [(i + 1, r, 1) for r in range(n)], gap)
     for i in range(n + 1):
-        row = [zero] * nv
-        for r in range(n):
-            row[idx(i, r)] = Fraction(1)
-        cons.append(Constraint(tuple(row), LE, Fraction(1)))
+        add([(i, r, 1) for r in range(n)], 1)
     return nv, cons
 
 

@@ -15,10 +15,19 @@ every other entry becomes p*a / d. Rows with a zero in the pivot column
 are not touched. This avoids per-entry gcd work and keeps entries the
 size of minors of the input.
 
+Each constraint becomes its row in one pass over its nonzero
+coefficients. The columns are the structurals, then one slack per
+inequality in row order, then one artificial per row that has no +1
+slack, also in row order; every artificial sits at or beyond the
+tableau's width.
+
 Pivot selection is Dantzig's rule for speed, switching permanently to
 Bland's rule after a long run of degenerate pivots, which guarantees
-termination. Infeasibility comes with a rational Farkas certificate that
-is re-verified against the original constraints before being returned.
+termination. Infeasibility comes with a rational Farkas certificate,
+read off the starting basis: each row's starting basic column is a unit
+column, so its phase-1 dual is that column's cost minus its reduced
+cost. The certificate is re-verified against the original constraints
+before being returned.
 """
 
 from __future__ import annotations
@@ -66,17 +75,16 @@ class _Core:
     """One list of sparse integer rows: the constraint rows, then the cost
     rows, each mapping column to nonzero entry, with the right-hand side
     under _RHS. Row i stands for rows[i] / dens[i]; den is the last pivot
-    element."""
+    element. Columns from width on are artificials."""
 
-    __slots__ = ("rows", "dens", "den", "basis", "width", "art_cols")
+    __slots__ = ("rows", "dens", "den", "basis", "width")
 
-    def __init__(self, rows, basis, width, total):
+    def __init__(self, rows, basis, width):
         self.rows = rows
         self.dens = [1] * len(rows)
         self.den = 1
         self.basis = basis
         self.width = width      # structural + slack columns
-        self.art_cols = set(range(width, total))   # artificials
 
 
 def _pivot(core: _Core, pr: int, pc: int):
@@ -235,77 +243,51 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
         if len(cost) != num_vars:
             raise ValueError(f"{name} width does not match num_vars")
 
-    # normalize every row to integers a.x (+ slack) = b with b >= 0;
-    # scales[i] is the signed rational multiplier from original to
-    # normalized row, used to translate phase-1 duals back
+    # each constraint becomes one sparse integer row a.x (+ slack) = b
+    # with b >= 0, scaled by the lcm of its denominators and negated for
+    # >= rows and negative right-hand sides; scales[i] is that signed
+    # multiplier, used to translate phase-1 duals back. Columns: the
+    # structurals, one slack per inequality in row order, then one
+    # artificial per row without a +1 slack, also in row order
     m = len(constraints)
-    int_rows, int_rhs, scales, slack_signs = [], [], [], []
+    rows, scales, basis = [], [], []
+    width = num_vars
     for con in constraints:
         if len(con.coeffs) != num_vars:
             raise ValueError("constraint width does not match num_vars")
-        coeffs, b, rel = list(con.coeffs), con.rhs, con.relation
-        scale = Fraction(1)
-        if rel == GE:
-            coeffs = [-c for c in coeffs]
-            b = -b
-            scale = -scale
-            rel = LE
-        mult = lcm(*(c.denominator for c in coeffs), b.denominator)
-        ints = [c.numerator * (mult // c.denominator) for c in coeffs]
-        bi = int(b * mult)
-        scale *= mult
-        slack = 1 if rel == LE else 0
-        if bi < 0:
-            ints = [-v for v in ints]
-            bi = -bi
-            scale = -scale
-            slack = -slack
-        int_rows.append(ints)
-        int_rhs.append(bi)
-        scales.append(scale)
-        slack_signs.append(slack)
-
-    slack_col = {}
-    j = num_vars
-    for i, s in enumerate(slack_signs):
-        if s:
-            slack_col[i] = j
-            j += 1
-    width = j
-    art_col = {}
-    for i in range(m):
-        if slack_signs[i] != 1:
-            art_col[i] = j
-            j += 1
-    total = j
-
-    rows = []
-    basis = []
-    for i in range(m):
-        row = {j: v for j, v in enumerate(int_rows[i]) if v}
-        if int_rhs[i]:
-            row[_RHS] = int_rhs[i]
-        if i in slack_col:
-            row[slack_col[i]] = slack_signs[i]
-        if i in art_col:
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            basis.append(slack_col[i])
+        nonzero = [(j, c) for j, c in enumerate(con.coeffs) if c]
+        sign = -1 if con.relation == GE else 1
+        slack = 0 if con.relation == EQ else 1
+        if con.rhs * sign < 0:
+            sign, slack = -sign, -slack
+        scale = sign * lcm(*(c.denominator for _, c in nonzero),
+                           con.rhs.denominator)
+        row = {j: c.numerator * (scale // c.denominator) for j, c in nonzero}
+        if con.rhs:
+            row[_RHS] = con.rhs.numerator * (scale // con.rhs.denominator)
+        if slack:
+            row[width] = slack
+            width += 1
         rows.append(row)
+        scales.append(scale)
+        basis.append(width - 1 if slack == 1 else None)
+    artificials = [i for i, b in enumerate(basis) if b is None]
+    for j, i in enumerate(artificials, width):
+        rows[i][j] = 1
+        basis[i] = j
+    start = tuple(basis)
     rows += [_integer_cost_row(cost) for cost in costs]
-    core = _Core(rows, basis, width, total)
+    core = _Core(rows, basis, width)
 
     pivots = 0
-    if art_col:
+    if artificials:
         # phase 1: minimize the artificial total in a cost row at index m;
         # it starts reduced against the artificial part of the basis
         cost1 = {}
-        for i in art_col:
+        for i in artificials:
             for j, v in rows[i].items():
                 cost1[j] = cost1.get(j, 0) - v
-        rows.insert(m, {j: v for j, v in cost1.items()
-                        if v and j not in core.art_cols})
+        rows.insert(m, {j: v for j, v in cost1.items() if v and j < width})
         core.dens.insert(m, 1)
         status, p = _run(core, m)
         pivots += p
@@ -313,21 +295,16 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
             raise RuntimeError("phase 1 cannot be unbounded")
         infeasibility = sum(
             (Fraction(rows[i].get(_RHS, 0), core.dens[i])
-             for i in range(m) if core.basis[i] in core.art_cols),
+             for i in range(m) if core.basis[i] >= width),
             Fraction(0))
         if infeasibility > 0:
-            lam = []
-            for i in range(m):
-                if i in art_col:
-                    col, c1 = art_col[i], Fraction(1)
-                    coeff = Fraction(1)
-                else:
-                    col, c1 = slack_col[i], Fraction(0)
-                    coeff = Fraction(slack_signs[i])
-                reduced = Fraction(rows[m].get(col, 0), core.dens[m])
-                y_i = (c1 - reduced) / coeff
-                lam.append(y_i * scales[i])
-            lam = tuple(lam)
+            # row i's starting basic column is a unit column with +1 in
+            # row i, so the normalized row's dual is that column's phase-1
+            # cost minus its phase-1 reduced cost; the row's scale takes
+            # it back to the original row
+            lam = tuple(
+                (int(b >= width) - Fraction(rows[m].get(b, 0), core.dens[m]))
+                * scale for b, scale in zip(start, scales))
             ok, why = verify_farkas(num_vars, constraints, lam)
             if not ok:
                 raise RuntimeError(f"internal error: bad Farkas certificate: {why}")
@@ -361,12 +338,11 @@ def _drive_out_artificials(core: _Core):
     """After a zero-cost phase 1, pivot basic artificials onto structural
     or slack columns. A row with no eligible pivot is redundant; it stays
     behind as an empty row that no later step can select."""
-    rows = core.rows
-    eligible = range(core.width)
+    rows, width = core.rows, core.width
     for i in range(len(core.basis)):
-        if core.basis[i] not in core.art_cols:
+        if core.basis[i] < width:
             continue
-        target = min((j for j in rows[i] if j in eligible), default=None)
+        target = min((j for j in rows[i] if 0 <= j < width), default=None)
         if target is None:
             continue
         if rows[i][target] < 0:
@@ -377,7 +353,7 @@ def _drive_out_artificials(core: _Core):
     # artificials are dead from here on; drop them so no later phase can
     # see them and so redundant rows become empty
     for k, row in enumerate(rows):
-        rows[k] = {j: v for j, v in row.items() if j not in core.art_cols}
+        rows[k] = {j: v for j, v in row.items() if j < width}
 
 
 def verify_farkas(num_vars: int, constraints: Sequence[Constraint],

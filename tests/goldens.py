@@ -260,3 +260,21 @@ USER_8_PATH_POWER = dict(
     tableau_sha256=(
         "b7a00a55c0548d7e12ccf081c70cb2d561cb983bd2306b1174f822ad79b20ba7"),
 )
+
+# A small infeasible LP whose rows exercise every sign flip of the row
+# scales: (2/3)x1 + x2 >= 5/2 (negated), (1/2)x1 - x2 <= -1 (negative
+# right-hand side, so an artificial and a -1 slack) and x1 + 2x2 = 1.
+# Its Farkas multipliers, pivots, final basis, basic values and every
+# tableau_column(j), j = 0..width-1, each written as above.
+MIXED_SIGN_LP = (
+    ((F(2, 3), F(1)), ">=", F(5, 2)),
+    ((F(1, 2), F(-1)), "<=", F(-1)),
+    ((F(1), F(2)), "==", F(1)),
+)
+MIXED_SIGN_PATH = dict(
+    multipliers="6 -2 -4",
+    pivots=1,
+    basis="4 5 1",
+    basic_values="12 1 1/2",
+    columns=("1 -2 1/2", "0 0 1", "-1 0 0", "0 -1 0"),
+)

@@ -239,13 +239,8 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert main(["mech", "geometric", "--n", "3"]) == 1
 
-    def test_non_integer_precision_env_var(self, user_file, monkeypatch,
-                                           capsys):
-        monkeypatch.setenv("PRIVOPT_PRECISION", "abc")
-        assert main(["optimal", "--user", user_file, "--alpha", "1/2"]) == 1
-        assert "error: PRIVOPT_PRECISION" in capsys.readouterr().err
+    def test_zero_precision(self, capsys):
+        assert main(["verify", "theorem1", "--n", "2", "--trials", "1",
+                     "--precision", "0"]) == 1
+        assert "error: --precision" in capsys.readouterr().err
 
-    def test_zero_precision_env_var(self, monkeypatch, capsys):
-        monkeypatch.setenv("PRIVOPT_PRECISION", "0")
-        assert main(["verify", "theorem1", "--n", "2", "--trials", "1"]) == 1
-        assert "error: PRIVOPT_PRECISION" in capsys.readouterr().err

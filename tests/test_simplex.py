@@ -18,6 +18,8 @@ from goldens import (
     BENCHMARK_USER,
     COUNTEREXAMPLE_PATH_HALF,
     COUNTEREXAMPLE_PATH_QUARTER,
+    MIXED_SIGN_LP,
+    MIXED_SIGN_PATH,
     USER_8_PATH_ABSOLUTE,
     USER_8_PATH_POWER,
     USER_8_WEIGHTS,
@@ -112,6 +114,27 @@ def test_infeasible_equalities_certificate():
     assert res.status == "infeasible"
     ok, msg = verify_farkas(2, cons, res.farkas)
     assert ok, msg
+
+
+class TestInputChecks:
+    def test_constraint_width(self):
+        cons = [Constraint((F(1), F(1), F(1)), LE, F(1))]
+        with pytest.raises(ValueError, match="constraint width"):
+            solve_lp(2, cons, [F(1), F(1)])
+
+    def test_objective_width(self):
+        cons = [Constraint((F(1), F(1)), LE, F(1))]
+        with pytest.raises(ValueError, match="objective width"):
+            solve_lp(2, cons, [F(1)])
+
+    def test_tiebreak_width(self):
+        cons = [Constraint((F(1), F(1)), LE, F(1))]
+        with pytest.raises(ValueError, match="tiebreak width"):
+            solve_lp(2, cons, [F(1), F(1)], tiebreak=[F(1), F(1), F(1)])
+
+    def test_unknown_relation(self):
+        with pytest.raises(ValueError, match="unknown relation"):
+            Constraint((F(1), F(1)), "<", F(1))
 
 
 def test_farkas_rejects_bogus_multipliers():
@@ -221,6 +244,17 @@ class TestPinnedPivotPath:
         assert _words(cert.multipliers) == golden["multipliers"]
         assert _words(res.x) == golden["x"]
         assert _columns_sha256(res) == golden["tableau_sha256"]
+
+    def test_mixed_sign_farkas(self):
+        cons = [Constraint(*row) for row in MIXED_SIGN_LP]
+        res = solve_lp(2, cons, [F(1), F(1)])
+        assert res.status == "infeasible"
+        assert _words(res.farkas) == MIXED_SIGN_PATH["multipliers"]
+        assert res.pivots == MIXED_SIGN_PATH["pivots"]
+        assert _words(res.basis) == MIXED_SIGN_PATH["basis"]
+        assert _words(res.basic_values()) == MIXED_SIGN_PATH["basic_values"]
+        assert (tuple(_words(res.tableau_column(j)) for j in range(res.width))
+                == MIXED_SIGN_PATH["columns"])
 
     @pytest.mark.parametrize("loss, golden", [
         (LossFunction.absolute(), USER_8_PATH_ABSOLUTE),
