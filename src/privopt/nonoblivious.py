@@ -257,34 +257,32 @@ def build_counterexample_lp(alpha: Fraction = Fraction(1, 2)):
     constraints: list[Constraint] = []
     labels: list[str] = []
 
-    for j, d in enumerate(dbs):
+    def add(terms, relation, rhs, label):
+        """One row from (variable, coefficient) terms."""
         coeffs = [Fraction(0)] * nv
-        for r in COUNTEREXAMPLE_RESPONSES:
-            coeffs[var(d, r)] = Fraction(1)
-        constraints.append(Constraint(coeffs, EQ, Fraction(1)))
-        labels.append(f"stochastic {space.label(j)}")
+        for v, c in terms:
+            coeffs[v] = c
+        constraints.append(Constraint(coeffs, relation, rhs))
+        labels.append(label)
+
+    for j, d in enumerate(dbs):
+        add([(var(d, r), 1) for r in COUNTEREXAMPLE_RESPONSES], EQ, 1,
+            f"stochastic {space.label(j)}")
 
     for j1, j2 in space.neighbor_pairs():
         for r in COUNTEREXAMPLE_RESPONSES:
             for lo, hi in ((j1, j2), (j2, j1)):
-                coeffs = [Fraction(0)] * nv
-                coeffs[var(dbs[lo], r)] = alpha
-                coeffs[var(dbs[hi], r)] = Fraction(-1)
-                constraints.append(Constraint(coeffs, LE, Fraction(0)))
-                labels.append(f"privacy {space.label(lo)}~"
-                              f"{space.label(hi)} response {r}")
+                add([(var(dbs[lo], r), alpha), (var(dbs[hi], r), -1)], LE, 0,
+                    f"privacy {space.label(lo)}~{space.label(hi)} "
+                    f"response {r}")
 
     for name, to_one, target in (("user1", _Y1_TO_ONE, _X1),
                                  ("user2", _Y2_TO_ONE, _X2)):
         to_two = tuple(r for r in COUNTEREXAMPLE_RESPONSES if r not in to_one)
         for d in _TRACKED:
             for group, col in ((to_one, 0), (to_two, 1)):
-                coeffs = [Fraction(0)] * nv
-                for r in group:
-                    coeffs[var(d, r)] = Fraction(1)
-                constraints.append(Constraint(coeffs, EQ, target[d][col]))
-                labels.append(f"remap {name} {space.label(dindex[d])} "
-                              f"-> {col + 1}")
+                add([(var(d, r), 1) for r in group], EQ, target[d][col],
+                    f"remap {name} {space.label(dindex[d])} -> {col + 1}")
 
     return nv, constraints, labels, space
 

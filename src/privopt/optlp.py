@@ -8,15 +8,15 @@ nonnegative, the all-mass-on-column-n mechanism is the slack-basis
 vertex, and the simplex needs no feasibility phase.
 
 Irrational objectives (fractional-exponent power losses) are rationalized
-at high precision; the feasible region, and with it the vertex set, stays
-exact. A post-pass then recomputes the reduced costs in Decimal from
-the same loss table and certifies the chosen vertex within a hard margin.
+at the requested precision; the feasible region, and with it the vertex
+set, stays exact. The exact simplex proves the returned vertex optimal
+for the LP it solved, which for such losses is the rationalized
+objective; nothing checks the vertex against the true irrational loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .core import (
@@ -27,11 +27,8 @@ from .core import (
     StructuralError,
     UserModel,
     _expected_loss,
-    to_decimal,
 )
-from .simplex import LE, Constraint, SimplexResult, solve_lp
-
-POST_PASS_MARGIN = Decimal("1e-40")
+from .simplex import LE, Constraint, solve_lp
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,9 @@ class VertexSolution:
     tight: ConstraintMatrix
     alternate_optima: int      # optimal-face directions leaving the vertex
     pivots: int
-    certified: bool            # post-pass outcome (trivially True if exact)
+    # the exact simplex ended optimal on the LP objective (for irrational
+    # losses, the rationalized one); True for every returned vertex
+    certified: bool
 
 
 def build_lp(u: UserModel, a: PrivacyLevel,
@@ -179,11 +178,12 @@ def solve_vertex(lp: UserLP) -> VertexSolution:
     is the limit of the optima of nearby non-degenerate users, and those
     are always remaps.
 
-    For rationalized objectives the vertex is re-certified against the
-    true objective: every nonbasic column's true reduced cost must clear
-    -POST_PASS_MARGIN, so no adjacent vertex improves by more than the
-    margin. Failure raises; it would mean the rationalization precision
-    is too low for the instance.
+    Every loss kind takes the same exact path. The vertex is optimal for
+    the LP objective: its final reduced costs are all >= 0, and the
+    nonbasic columns whose reduced cost is exactly zero are its alternate
+    optima. For irrational losses that objective is the rationalized
+    loss table, so a low precision can move the vertex off the true
+    optimum unnoticed.
     """
     n = lp.n
     alpha = lp.level.alpha
@@ -215,58 +215,13 @@ def solve_vertex(lp: UserLP) -> VertexSolution:
     constant = sum((lp.objective[i][n] for i in range(n + 1)), Fraction(0))
     lp_value = res.objective + constant
 
-    certified = True
-    alternates = len(res.alternate_optimum_columns())
-    if not lp.objective_exact:
-        certified, near = _certify_true_objective(lp, res)
-        alternates = max(alternates, near)
-
     value = _expected_loss(mech, lp.user, lp.table)
     ts = tight_set(mech, lp.level)
+    alternates = len(res.alternate_optimum_columns())
     return VertexSolution(mechanism=mech, objective=value,
                           lp_objective=lp_value, tight=ts,
                           alternate_optima=alternates, pivots=res.pivots,
-                          certified=certified)
-
-
-def _certify_true_objective(lp: UserLP, res: SimplexResult) -> tuple[bool, int]:
-    """Reduced costs of all nonbasic columns under the true (Decimal)
-    objective. Slack columns carry zero cost; y columns carry
-    p_i (l(i,r) - l(i,n)) from the LP's high-precision loss table."""
-    n = lp.n
-    table = lp.table
-    ctx = table.ctx
-    prior = lp.user.prior
-
-    def true_cost(j: int) -> Decimal:
-        if j >= n * (n + 1):
-            return Decimal(0)
-        i, r = divmod(j, n)
-        return ctx.multiply(to_decimal(prior[i], ctx),
-                            ctx.subtract(table(i, r), table(i, n)))
-
-    basis = res.basis
-    basic = set(basis)
-    basic_costs = [true_cost(b) for b in basis]
-    near = 0
-    ok = True
-    for j in range(res.width):
-        if j in basic:
-            continue
-        col = res.tableau_column(j)
-        reduced = true_cost(j)
-        for bc, t in zip(basic_costs, col):
-            if t and bc:
-                reduced = ctx.subtract(reduced,
-                                       ctx.multiply(bc, to_decimal(t, ctx)))
-        if reduced < -POST_PASS_MARGIN:
-            ok = False
-        elif abs(reduced) <= POST_PASS_MARGIN:
-            near += 1
-    if not ok:
-        raise RuntimeError("vertex failed true-objective certification; "
-                           "raise the working precision")
-    return ok, near
+                          certified=True)
 
 
 def optimal_mechanism_for_user(u: UserModel, a: PrivacyLevel,

@@ -261,6 +261,29 @@ USER_8_PATH_POWER = dict(
         "b7a00a55c0548d7e12ccf081c70cb2d561cb983bd2306b1174f822ad79b20ba7"),
 )
 
+# Two-point user under power-1/2 loss at n = 4: half the prior on 0, half
+# on 4. The vertex the solve returns has one nonbasic column with a zero
+# reduced cost: an alternate optimum under an irrational loss. Per alpha:
+# pivots, alternate optima and the vertex's rows, each row written as above.
+ROOT_ENDPOINT_USER = UserModel(
+    prior=(F(1, 2), F(0), F(0), F(0), F(1, 2)),
+    loss=LossFunction(kind="power", exponent=F(1, 2)),
+)
+ROOT_ENDPOINT_PATHS = {
+    F(1, 2): dict(
+        pivots=20,
+        alternate_optima=1,
+        rows=("5/6 0 0 0 1/6", "2/3 0 0 0 1/3", "1/3 0 0 0 2/3",
+              "1/6 0 0 0 5/6", "1/12 0 0 0 11/12"),
+    ),
+    F(1, 4): dict(
+        pivots=20,
+        alternate_optima=1,
+        rows=("19/20 0 0 0 1/20", "4/5 0 0 0 1/5", "1/5 0 0 0 4/5",
+              "1/20 0 0 0 19/20", "1/80 0 0 0 79/80"),
+    ),
+}
+
 # A small infeasible LP whose rows exercise every sign flip of the row
 # scales: (2/3)x1 + x2 >= 5/2 (negated), (1/2)x1 - x2 <= -1 (negative
 # right-hand side, so an artificial and a -1 slack) and x1 + 2x2 = 1.

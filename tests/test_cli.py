@@ -19,7 +19,7 @@ from goldens import (
     BENCHMARK_USER,
     BENCHMARK_VERTEX,
 )
-from privopt import truncated_geometric
+from privopt import LossFunction, UserModel, truncated_geometric
 
 
 @pytest.fixture
@@ -70,6 +70,20 @@ class TestOptimal:
         assert rep["objective_is_exact"] is False
         assert rep["tight_set"]["total"] >= 36
         assert rep["simplex_pivots"] > 0
+
+    def test_low_precision_writes_report(self, tmp_path):
+        user = tmp_path / "uniform.json"
+        user.write_text(dumps(user_to_jsonable(UserModel(
+            prior=(F(1, 5),) * 5,
+            loss=LossFunction(kind="power", exponent=F(3, 2))))))
+        out = tmp_path / "opt.json"
+        report = tmp_path / "report.json"
+        rc = main(["optimal", "--user", str(user), "--alpha", "1/2",
+                   "--precision", "2", "--out", str(out),
+                   "--report", str(report)])
+        assert rc == 0
+        assert json.loads(out.read_text())["alpha"] == "1/2"
+        assert json.loads(report.read_text())["precision_digits"] == 2
 
     def test_missing_user_file(self, tmp_path, capsys):
         rc = main(["optimal", "--user", str(tmp_path / "nope.json"),

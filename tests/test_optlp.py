@@ -192,6 +192,15 @@ class TestCertification:
         assert sol.certified
         assert sol.lp_objective is not None
 
+    def test_one_digit_still_returns_a_vertex(self):
+        # the rationalized LP is solved exactly at any precision; one digit
+        # moves the vertex, but it is still a vertex of the exact polytope
+        sol = optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF, digits=1)
+        assert sol.certified
+        assert check_row_stochastic(sol.mechanism).ok
+        assert check_differential_privacy(sol.mechanism, ALPHA_HALF).ok
+        assert tight_rank(sol.mechanism, ALPHA_HALF) == 36
+
     def test_exact_loss_objective_matches_recomputation(self):
         u = UserModel(prior=(F(1, 2), F(1, 4), F(1, 4)),
                       loss=LossFunction(kind="squared"))

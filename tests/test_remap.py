@@ -151,8 +151,8 @@ class TestLossValues:
                       loss=LossFunction(kind="power", exponent=F(3, 2)))
         optimal_remap(truncated_geometric(ALPHA_HALF, n), u)
         assert 0 < len(calls) <= n + 1
-        # one LP solve shares one table across the build, the certification
-        # and the final objective: one value per distance 0..5
+        # one LP solve shares one table between the build and the final
+        # objective: one value per distance 0..5
         calls.clear()
         optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF)
         assert len(calls) == 6

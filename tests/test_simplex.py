@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privopt import LossFunction, UserModel, optlp
+from privopt import LossFunction, PrivacyLevel, UserModel, optlp
 from privopt.nonoblivious import check_counterexample_infeasibility
 from privopt.optlp import optimal_mechanism_for_user
 from privopt.simplex import EQ, GE, LE, Constraint, solve_lp, verify_farkas
@@ -20,6 +20,8 @@ from goldens import (
     COUNTEREXAMPLE_PATH_QUARTER,
     MIXED_SIGN_LP,
     MIXED_SIGN_PATH,
+    ROOT_ENDPOINT_PATHS,
+    ROOT_ENDPOINT_USER,
     USER_8_PATH_ABSOLUTE,
     USER_8_PATH_POWER,
     USER_8_WEIGHTS,
@@ -230,6 +232,17 @@ class TestPinnedPivotPath:
         sol = optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF)
         assert sol.pivots == BENCHMARK_PIVOTS
         assert sol.alternate_optima == BENCHMARK_ALTERNATE_OPTIMA
+
+    @pytest.mark.parametrize("alpha", sorted(ROOT_ENDPOINT_PATHS),
+                             ids=str)
+    def test_irrational_loss_alternate_optima(self, alpha):
+        golden = ROOT_ENDPOINT_PATHS[alpha]
+        sol = optimal_mechanism_for_user(ROOT_ENDPOINT_USER,
+                                         PrivacyLevel(alpha))
+        assert sol.pivots == golden["pivots"]
+        assert sol.alternate_optima == golden["alternate_optima"]
+        assert (tuple(_words(row) for row in sol.mechanism.rows)
+                == golden["rows"])
 
     @pytest.mark.parametrize("alpha, golden", [
         (F(1, 2), COUNTEREXAMPLE_PATH_HALF),
