@@ -257,13 +257,10 @@ class FactorizationCheck:
     """One user's two routes to the optimum: the Bayes remap of the
     truncated geometric mechanism versus the exact LP vertex."""
 
-    n: int
-    alpha: Fraction
     user: UserModel
     remap: Remap
     vertex: VertexSolution
     remap_loss: object
-    lp_loss: object
     losses_match: bool
     structure: StructureReport
     derived_remap: Remap | None
@@ -287,17 +284,14 @@ def verify_factorization(u: UserModel, a: PrivacyLevel,
     the solve returned with it must pass all structural checks, and the
     remap derived from that grid must reproduce the vertex bit for bit.
     """
-    n = u.n
-    g = truncated_geometric(a, n)
+    g = truncated_geometric(a, u.n)
     y = optimal_remap(g, u, digits)
-    remapped = compose(y, g)
-    l1 = expected_loss(remapped, u, digits)
+    loss = expected_loss(compose(y, g), u, digits)
     sol = optimal_mechanism_for_user(u, a, digits=digits)
-    l2 = sol.objective
     if u.loss.is_exact:
-        losses_match = l1 == l2
+        losses_match = loss == sol.objective
     else:
-        losses_match = abs(l1 - l2) <= LOSS_TOLERANCE
+        losses_match = abs(loss - sol.objective) <= LOSS_TOLERANCE
     _require_feasible(sol.mechanism, a)
     structure = validate_vertex_structure(sol.tight)
     derived = None
@@ -305,8 +299,7 @@ def verify_factorization(u: UserModel, a: PrivacyLevel,
     if structure.ok:
         derived = derive_remap_from_constraint_matrix(structure)
         reconstruction_ok = compose(derived, g).rows == sol.mechanism.rows
-    return FactorizationCheck(n=n, alpha=a.alpha, user=u, remap=y, vertex=sol,
-                              remap_loss=l1, lp_loss=l2,
+    return FactorizationCheck(user=u, remap=y, vertex=sol, remap_loss=loss,
                               losses_match=losses_match, structure=structure,
                               derived_remap=derived,
                               reconstruction_ok=reconstruction_ok)
@@ -327,17 +320,16 @@ class UniquenessReport:
         return self.remap_is_permutation and self.induces_geometric
 
 
-def verify_uniqueness(a: PrivacyLevel, n: int, candidate: Mechanism) -> UniquenessReport:
+def verify_uniqueness(a: PrivacyLevel, candidate: Mechanism) -> UniquenessReport:
     """Is candidate just the truncated geometric mechanism relabeled?
 
     The designated user (uniform prior, hit-or-miss loss) Bayes-remaps the
     candidate; the candidate passes only if that remap is a permutation of
     0..n and composing it with the candidate lands exactly on the
-    truncated geometric mechanism. Candidates must be feasible with n+1
-    response columns.
+    truncated geometric mechanism over the candidate's own n. Candidates
+    must be feasible with n+1 response columns.
     """
-    if candidate.n != n:
-        raise StructuralError(f"candidate has n={candidate.n}, expected {n}")
+    n = candidate.n
     if len(candidate.responses) != n + 1:
         raise StructuralError("candidate must have a response column per result")
     _require_feasible(candidate, a, "candidate is ")

@@ -7,8 +7,8 @@ nonoblivious (database-indexed tools), compare-laplace (closed-form
 loss comparison).
 
 Exit codes: 0 success or all checks passed; 2 a verification check
-failed (reports are still written); 1 usage error or structurally
-invalid input.
+failed (reports are still written); 1 usage error, structurally
+invalid input, or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import analysis, mechanisms, serialize
@@ -25,6 +24,7 @@ from .core import (
     DEFAULT_PRECISION,
     PrivacyLevel,
     StructuralError,
+    check_row_stochastic,
     format_rational,
     hp_context,
     parse_rational,
@@ -51,32 +51,6 @@ def _number_str(v) -> str:
     if isinstance(v, Fraction):
         return format_rational(v)
     return str(v)
-
-
-@dataclass
-class RunReport:
-    """Everything a sweep did, replayable from the record alone.
-
-    Deterministic given the seed, except wall_clock_seconds, which is
-    informational timing and excluded from the determinism contract.
-    """
-
-    command: str
-    seed: int | None
-    parameters: dict
-    trials: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    wall_clock_seconds: float = 0.0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "parameters": self.parameters,
-            "trials": self.trials,
-            "summary": self.summary,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
 
 
 def _resolve_precision(args) -> int:
@@ -152,6 +126,9 @@ def _cmd_remap(args) -> int:
                         "mechanism")
     user = _load(args.user, serialize.user_from_jsonable, "user")
     digits = _resolve_precision(args)
+    sto = check_row_stochastic(mech)
+    if not sto.ok:
+        raise StructuralError("not row-stochastic: " + "; ".join(sto.problems))
     y = optimal_remap(mech, user, digits)
     _emit(serialize.remap_to_jsonable(y), args.out)
     return 0
@@ -194,74 +171,74 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _theorem1_sweep(args) -> tuple[RunReport, bool]:
+def _theorem1_sweep(args) -> dict:
+    """Everything the sweep did, replayable from the record alone.
+
+    Deterministic given the seed, except wall_clock_seconds, which is
+    informational timing and excluded from the determinism contract.
+    """
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    alphas = []
-    for tok in args.alphas.split(","):
-        lvl = _parse_alpha(tok.strip())
-        alphas.append(lvl)
+    alphas = [_parse_alpha(tok.strip()) for tok in args.alphas.split(",")]
     digits = _resolve_precision(args)
     rng = random.Random(args.seed)
-    report = RunReport(
-        command="verify theorem1",
-        seed=args.seed,
-        parameters={
-            "max_n": args.n,
-            "alphas": [format_rational(l.alpha) for l in alphas],
-            "trials": args.trials,
-            "precision_digits": digits,
-        },
-    )
-    all_ok = True
+    trials = []
     started = time.perf_counter()
     for t in range(args.trials):
         n = rng.randint(1, args.n)
         level = alphas[rng.randrange(len(alphas))]
         user = analysis.random_user(rng, n)
         check = analysis.verify_factorization(user, level, digits=digits)
-        ok = check.ok
-        all_ok = all_ok and ok
-        report.trials.append({
+        trials.append({
             "trial": t,
             "n": n,
             "alpha": format_rational(level.alpha),
             "user": serialize.user_to_jsonable(user),
             "loss_remapped_geometric": _number_str(check.remap_loss),
-            "loss_lp_vertex": _number_str(check.lp_loss),
+            "loss_lp_vertex": _number_str(check.vertex.objective),
             "losses_match": check.losses_match,
             "structure_ok": check.structure.ok,
             "reconstruction_ok": check.reconstruction_ok,
-            "verdict": "pass" if ok else "fail",
+            "verdict": "pass" if check.ok else "fail",
         })
-    report.wall_clock_seconds = round(time.perf_counter() - started, 3)
-    passes = sum(1 for rec in report.trials if rec["verdict"] == "pass")
-    report.summary = {
-        "passes": passes,
-        "failures": args.trials - passes,
-        "all_passed": all_ok,
+    passes = sum(1 for rec in trials if rec["verdict"] == "pass")
+    return {
+        "command": "verify theorem1",
+        "seed": args.seed,
+        "parameters": {
+            "max_n": args.n,
+            "alphas": [format_rational(l.alpha) for l in alphas],
+            "trials": args.trials,
+            "precision_digits": digits,
+        },
+        "trials": trials,
+        "summary": {
+            "passes": passes,
+            "failures": args.trials - passes,
+            "all_passed": passes == args.trials,
+        },
+        "wall_clock_seconds": round(time.perf_counter() - started, 3),
     }
-    return report, all_ok
 
 
 def _cmd_verify(args) -> int:
-    report, all_ok = _theorem1_sweep(args)
+    report = _theorem1_sweep(args)
+    trials = report["trials"]
     if args.report:
-        serialize.write_json(args.report, report.to_jsonable())
+        serialize.write_json(args.report, report)
     if args.csv:
         _write_csv(args.csv,
                    ["trial", "n", "alpha", "loss_remapped_geometric",
                     "loss_lp_vertex", "verdict"],
                    [[rec["trial"], rec["n"], rec["alpha"],
                      rec["loss_remapped_geometric"], rec["loss_lp_vertex"],
-                     rec["verdict"]] for rec in report.trials])
-    s = report.summary
-    print(f"theorem1: {s['passes']}/{len(report.trials)} trials passed "
-          f"({report.wall_clock_seconds}s)")
-    if not all_ok:
-        for rec in report.trials:
+                     rec["verdict"]] for rec in trials])
+    print(f"theorem1: {report['summary']['passes']}/{len(trials)} trials "
+          f"passed ({report['wall_clock_seconds']}s)")
+    if not report["summary"]["all_passed"]:
+        for rec in trials:
             if rec["verdict"] == "fail":
                 print(f"  trial {rec['trial']} failed: n={rec['n']} "
                       f"alpha={rec['alpha']}")
@@ -320,16 +297,10 @@ def _cmd_obliviate(args) -> int:
 
 def _cmd_compare_laplace(args) -> int:
     digits = _resolve_precision(args)
-    if args.alphas:
-        tokens = [tok.strip() for tok in args.alphas.split(",")]
-    elif args.alpha:
-        tokens = [args.alpha]
-    else:
-        raise UsageError("need --alpha or --alphas")
     rows = []
     ctx = hp_context(digits)
-    for tok in tokens:
-        level = _parse_alpha(tok)
+    for tok in args.alphas.split(","):
+        level = _parse_alpha(tok.strip())
         geo = mechanisms.geometric_two_point_loss(level)
         lap = mechanisms.laplace_two_point_loss(level, digits)
         ratio = mechanisms.two_point_loss_ratio(level, digits)
@@ -445,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-laplace",
                        help="closed-form two-point loss of geometric vs "
                             "Laplace noise")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--alphas", default=None,
-                   help="comma-separated list for a table")
+    p.add_argument("--alphas", required=True,
+                   help="comma-separated privacy levels, one table row each")
     p.add_argument("--csv", help="write the loss table as CSV here")
     add_precision(p)
     p.set_defaults(func=_cmd_compare_laplace)
@@ -460,7 +430,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, StructuralError) as e:
+    except (UsageError, StructuralError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

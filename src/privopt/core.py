@@ -16,7 +16,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 Number = Union[Fraction, Decimal]
 
 DEFAULT_PRECISION = 64
@@ -24,10 +23,6 @@ DEFAULT_PRECISION = 64
 
 class StructuralError(ValueError):
     """Shape or labeling of the inputs does not line up."""
-
-
-class CapacityError(RuntimeError):
-    """An exhaustive search was asked to enumerate too large a space."""
 
 
 def hp_context(digits: int | None = None) -> decimal.Context:

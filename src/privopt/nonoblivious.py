@@ -26,6 +26,7 @@ from .core import (
     StochasticityReport,
     StructuralError,
     UserModel,
+    _as_fraction,
 )
 from .mechanisms import truncated_geometric
 from .simplex import EQ, LE, Constraint, SimplexResult, solve_lp, verify_farkas
@@ -63,10 +64,6 @@ class DatabaseSpace:
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "databases", dbs)
 
-    @property
-    def n(self) -> int:
-        return self.rows
-
     def result(self, d: tuple) -> int:
         return sum(1 for v in d if v in self.positive)
 
@@ -78,14 +75,18 @@ class DatabaseSpace:
         return tuple(tuple(g) for g in groups)
 
     def neighbor_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs of databases differing in exactly one row."""
+        """Index pairs j1 < j2 of databases differing in exactly one row,
+        in ascending order. Databases are enumerated in product order, so
+        row p is digit rows-1-p of the index in base |domain|; raising
+        that digit by k moves the index up by k * |domain|^(rows-1-p)."""
+        size = len(self.domain)
         out = []
-        dbs = self.databases
-        for j1 in range(len(dbs)):
-            for j2 in range(j1 + 1, len(dbs)):
-                diff = sum(1 for a, b in zip(dbs[j1], dbs[j2]) if a != b)
-                if diff == 1:
-                    out.append((j1, j2))
+        for j in range(len(self.databases)):
+            stride = 1
+            for _ in range(self.rows):
+                digit = j // stride % size
+                out.extend((j, j + k * stride) for k in range(1, size - digit))
+                stride *= size
         return tuple(out)
 
     def label(self, j: int) -> str:
@@ -121,7 +122,7 @@ class FullMechanism:
         for row in rows:
             if len(row) != len(responses):
                 raise StructuralError("row width does not match responses")
-            conv.append(tuple(Fraction(v) for v in row))
+            conv.append(tuple(_as_fraction(v) for v in row))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "rows", tuple(conv))

@@ -39,22 +39,8 @@ class UserLP:
 
     user: UserModel
     level: PrivacyLevel
-    n: int
     objective: tuple[tuple[Fraction, ...], ...]  # [i][r], rationalized
-    objective_exact: bool
     table: LossTable  # the loss values behind objective, reused by the solve
-
-    @property
-    def num_variables(self) -> int:
-        return (self.n + 1) ** 2
-
-    @property
-    def num_privacy_constraints(self) -> int:
-        return 2 * self.n * (self.n + 1)
-
-    @property
-    def num_mass_constraints(self) -> int:
-        return self.n + 1
 
 
 DOWN = "v"   # alpha * x[i][r] = x[i+1][r]
@@ -105,8 +91,7 @@ def build_lp(u: UserModel, a: PrivacyLevel,
     objective = tuple(tuple(u.prior[i] * Fraction(table(i, r))
                             for r in range(n + 1))
                       for i in range(n + 1))
-    return UserLP(user=u, level=a, n=n, objective=objective,
-                  objective_exact=u.loss.is_exact, table=table)
+    return UserLP(user=u, level=a, objective=objective, table=table)
 
 
 def _reduced_constraints(n: int, alpha: Fraction):
@@ -185,7 +170,7 @@ def solve_vertex(lp: UserLP) -> VertexSolution:
     loss table, so a low precision can move the vertex off the true
     optimum unnoticed.
     """
-    n = lp.n
+    n = lp.user.n
     alpha = lp.level.alpha
     nv, cons = _reduced_constraints(n, alpha)
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 import sympy
 
 from privopt.core import (
-    CapacityError,
     Mechanism,
     Number,
     PrivacyLevel,
@@ -28,6 +27,10 @@ from privopt.core import (
     hp_context,
 )
 from privopt.simplex import GE, LE
+
+
+class CapacityError(RuntimeError):
+    """An exhaustive search was asked to enumerate too large a space."""
 
 
 def sym_noise_pmf(alpha, z):
@@ -240,6 +243,15 @@ def exhaustive_remap_loss(x: Mechanism, u: UserModel, digits: int = 64):
         if best is None or total < best:
             best = total
     return best
+
+
+def neighbor_pairs(space) -> tuple[tuple[int, int], ...]:
+    """Index pairs j1 < j2 of databases differing in exactly one row,
+    found by comparing every pair of databases row by row."""
+    dbs = space.databases
+    return tuple((j1, j2)
+                 for j1 in range(len(dbs)) for j2 in range(j1 + 1, len(dbs))
+                 if sum(a != b for a, b in zip(dbs[j1], dbs[j2])) == 1)
 
 
 def adversarial_worst_loss(x, u: UserModel, space, digits: int = 64):

@@ -220,16 +220,16 @@ def test_two_user_incompatibility_certificate(capsys):
 
 def test_geometric_uniqueness(capsys):
     g = truncated_geometric(ALPHA_HALF, 5)
-    accepted = verify_uniqueness(ALPHA_HALF, 5, g).equivalent
+    accepted = verify_uniqueness(ALPHA_HALF, g).equivalent
     relabelings_ok = True
     for perm in itertools.permutations(range(6)):
         rows = tuple(tuple(row[perm[k]] for k in range(6)) for row in g.rows)
         candidate = Mechanism(n=5, responses=tuple(range(6)), rows=rows)
-        if not verify_uniqueness(ALPHA_HALF, 5, candidate).equivalent:
+        if not verify_uniqueness(ALPHA_HALF, candidate).equivalent:
             relabelings_ok = False
             break
     golden = Mechanism(n=5, responses=tuple(range(6)), rows=BENCHMARK_VERTEX)
-    rejected = not verify_uniqueness(ALPHA_HALF, 5, golden).equivalent
+    rejected = not verify_uniqueness(ALPHA_HALF, golden).equivalent
     ok = accepted and relabelings_ok and rejected
     _line(capsys, ok, "only the geometric mechanism (up to response "
           "relabeling) simultaneously serves every user: all 720 relabelings "

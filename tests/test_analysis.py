@@ -225,7 +225,7 @@ class TestOffFamilyVertices:
 class TestUniqueness:
     def test_accepts_geometric(self):
         g = truncated_geometric(ALPHA_HALF, 5)
-        rep = verify_uniqueness(ALPHA_HALF, 5, g)
+        rep = verify_uniqueness(ALPHA_HALF, g)
         assert rep.equivalent
         assert rep.permutation == (0, 1, 2, 3, 4, 5)
 
@@ -236,17 +236,20 @@ class TestUniqueness:
                 n=5, responses=tuple(range(6)),
                 rows=tuple(tuple(row[perm.index(r)] for r in range(6))
                            for row in g.rows))
-            rep = verify_uniqueness(ALPHA_HALF, 5, relabeled)
+            rep = verify_uniqueness(ALPHA_HALF, relabeled)
             assert rep.equivalent, perm
 
     def test_rejects_benchmark_vertex(self):
-        rep = verify_uniqueness(ALPHA_HALF, 5, benchmark_mechanism())
+        rep = verify_uniqueness(ALPHA_HALF, benchmark_mechanism())
         assert not rep.equivalent
 
     def test_rejects_wrong_shape(self):
-        g = truncated_geometric(ALPHA_HALF, 3)
-        with pytest.raises(StructuralError):
-            verify_uniqueness(ALPHA_HALF, 5, g)
+        # n = 1 with three response columns: one more than results
+        m = Mechanism(n=1, responses=(0, 1, 2),
+                      rows=((F(1, 2), F(1, 4), F(1, 4)),
+                            (F(1, 4), F(1, 2), F(1, 4))))
+        with pytest.raises(StructuralError, match="response column"):
+            verify_uniqueness(ALPHA_HALF, m)
 
 
 class TestRandomUser:

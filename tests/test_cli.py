@@ -114,6 +114,19 @@ class TestRemap:
         assert captured.out == ""
         assert "error: prior covers 3 results, mechanism has 4" in captured.err
 
+    def test_non_stochastic_mechanism_is_an_error(self, tmp_path, capsys):
+        mech = tmp_path / "bad.json"
+        mech.write_text(dumps({"n": 1, "responses": [0, 1],
+                               "rows": [["2", "-1"], ["1/2", "1/2"]]}))
+        user = tmp_path / "u.json"
+        user.write_text(dumps({"prior": ["1/2", "1/2"],
+                               "loss": {"kind": "absolute"}}))
+        assert main(["remap", "--mech", str(mech), "--user", str(user)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: not row-stochastic: entry (0,0) = 2 outside [0, 1]; ")
+
 
 class TestAnalyze:
     def test_grid_and_json(self, tmp_path, capsys):
@@ -229,7 +242,7 @@ class TestObliviate:
 
 class TestCompareLaplace:
     def test_quarter_values(self, capsys):
-        assert main(["compare-laplace", "--alpha", "1/4"]) == 0
+        assert main(["compare-laplace", "--alphas", "1/4"]) == 0
         out = capsys.readouterr().out
         assert "1/5" in out
         assert "0.25" in out
@@ -252,6 +265,22 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["mech", "geometric", "--n", "3"]) == 1
+
+    def test_alphas_required(self, capsys):
+        assert main(["compare-laplace"]) == 1
+        assert "--alphas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mech", "geometric", "--alpha", "1/2", "--n", "2", "--out"],
+        ["verify", "theorem1", "--n", "2", "--trials", "1", "--report"],
+        ["verify", "theorem1", "--n", "2", "--trials", "1", "--csv"],
+    ])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "x.json"
+        assert main(argv + [str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.exists()
 
     def test_zero_precision(self, capsys):
         assert main(["verify", "theorem1", "--n", "2", "--trials", "1",

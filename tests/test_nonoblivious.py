@@ -34,7 +34,7 @@ from privopt.nonoblivious import (
 from privopt.simplex import solve_lp
 
 from goldens import ALPHA_HALF, LIFT_USER_3, LIFT_USER_3_WORST_LOSS
-from oracles import adversarial_worst_loss, agree
+from oracles import adversarial_worst_loss, agree, neighbor_pairs
 
 TOL = F(1, 10 ** 30)
 
@@ -43,7 +43,7 @@ class TestDatabaseSpace:
     def test_binary_space_size(self):
         sp = binary_space(3)
         assert len(sp.databases) == 8
-        assert sp.n == 3
+        assert sp.rows == 3
 
     def test_labels_are_one_sets(self):
         sp = binary_space(3)
@@ -61,6 +61,13 @@ class TestDatabaseSpace:
         pairs = sp.neighbor_pairs()
         assert len(pairs) == 12  # 8 * 3 / 2 single-row flips
         assert all(j1 < j2 for j1, j2 in pairs)
+
+    @pytest.mark.parametrize("sp", [binary_space(r) for r in range(1, 10)] + [
+        DatabaseSpace(domain=("a", "b", "c"), rows=3, positive={"a"}),
+        DatabaseSpace(domain=(0, 1, 2, 3), rows=2, positive={1, 3}),
+    ])
+    def test_neighbors_match_pairwise_search(self, sp):
+        assert sp.neighbor_pairs() == neighbor_pairs(sp)
 
     def test_trivial_predicate_rejected(self):
         with pytest.raises(StructuralError):
@@ -123,6 +130,10 @@ class TestObliviate:
                 averaged = worst_case_expected_loss(lift(m, sp), u)
                 original = worst_case_expected_loss(x, u)
                 assert averaged <= original or agree(averaged, original, TOL)
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(StructuralError, match="got float"):
+            FullMechanism(binary_space(1), (0, 1), [(0.1, 0.9), (0.5, 0.5)])
 
     def test_non_stochastic_rejected(self):
         sp = binary_space(2)

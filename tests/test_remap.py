@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from privopt import (
-    CapacityError,
     LossFunction,
     Mechanism,
     PrivacyLevel,
@@ -30,6 +29,7 @@ from goldens import (
     endpoint_user,
 )
 from oracles import (
+    CapacityError,
     agree,
     brute_force_optimal_remap,
     exhaustive_remap_loss,
