@@ -41,7 +41,15 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad arguments; here usage errors
-    are exit 1 and status 2 is reserved for failed verification."""
+    are exit 1 and status 2 is reserved for failed verification.
+
+    Options must be spelled in full (no prefix matching), so that an
+    option's old spelling never silently sets another one; subcommand
+    parsers share this class and so the default.
+    """
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -59,11 +67,12 @@ def _resolve_precision(args) -> int:
     return args.precision
 
 
-def _parse_alpha(text: str) -> PrivacyLevel:
+def _parse_alpha(text: str, flag: str) -> PrivacyLevel:
+    """The privacy level in text, read from the option named flag."""
     try:
         return PrivacyLevel(parse_rational(text))
     except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad --alpha {text!r}: {e}") from None
+        raise UsageError(f"bad {flag} {text!r}: {e}") from None
 
 
 def _load(path: str, parser, what: str):
@@ -85,7 +94,7 @@ def _emit(data, out: str | None) -> None:
 
 
 def _cmd_mech(args) -> int:
-    level = _parse_alpha(args.alpha)
+    level = _parse_alpha(args.alpha, "--alpha")
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     g = mechanisms.truncated_geometric(level, args.n)
@@ -94,7 +103,7 @@ def _cmd_mech(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    level = _parse_alpha(args.alpha)
+    level = _parse_alpha(args.alpha, "--alpha")
     user = _load(args.user, serialize.user_from_jsonable, "user")
     digits = _resolve_precision(args)
     sol = optimal_mechanism_for_user(user, level, digits=digits)
@@ -138,7 +147,7 @@ def _cmd_analyze(args) -> int:
     mech, stored_alpha = _load(args.mech, serialize.mechanism_from_jsonable,
                                "mechanism")
     if args.alpha is not None:
-        level = _parse_alpha(args.alpha)
+        level = _parse_alpha(args.alpha, "--alpha")
     elif stored_alpha is not None:
         level = PrivacyLevel(stored_alpha)
     else:
@@ -181,7 +190,8 @@ def _theorem1_sweep(args) -> dict:
         raise UsageError("--trials must be at least 1")
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    alphas = [_parse_alpha(tok.strip()) for tok in args.alphas.split(",")]
+    alphas = [_parse_alpha(tok.strip(), "--alphas")
+              for tok in args.alphas.split(",")]
     digits = _resolve_precision(args)
     rng = random.Random(args.seed)
     trials = []
@@ -247,13 +257,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    try:
-        alpha = parse_rational(args.alpha)
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad --alpha {args.alpha!r}: {e}") from None
-    if not 0 < alpha <= 1:
-        raise UsageError("--alpha must be in (0, 1]")
-    cert = check_counterexample_infeasibility(alpha)
+    level = _parse_alpha(args.alpha, "--alpha")
+    cert = check_counterexample_infeasibility(level.alpha)
     print(f"alpha = {format_rational(cert.alpha)}")
     print(f"LP: {cert.num_variables} variables, "
           f"{cert.num_constraints} constraints")
@@ -300,7 +305,7 @@ def _cmd_compare_laplace(args) -> int:
     rows = []
     ctx = hp_context(digits)
     for tok in args.alphas.split(","):
-        level = _parse_alpha(tok.strip())
+        level = _parse_alpha(tok.strip(), "--alphas")
         geo = mechanisms.geometric_two_point_loss(level)
         lap = mechanisms.laplace_two_point_loss(level, digits)
         ratio = mechanisms.two_point_loss_ratio(level, digits)

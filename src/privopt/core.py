@@ -5,7 +5,8 @@ response distribution published when the true count is i. Everything here
 is exact rational arithmetic (fractions.Fraction); loss values that are
 irrational (fractional-exponent power losses) are realized as Decimals at
 a configurable precision instead. LossTable is the one place that picks
-between the two: every loss-weighted sum in the package goes through it.
+between the two: every loss value in the package comes from it, and the
+optimizers (the LP and the Bayes remap) read the same rationalized table.
 """
 
 from __future__ import annotations
@@ -268,6 +269,7 @@ class LossTable:
         self.ctx = hp_context(digits)
         self._per_cell = loss.kind == "tabulated"
         self._values: dict = {}
+        self._rationals: dict = {}
 
     def __call__(self, i: int, r: int) -> Number:
         key = (i, r) if self._per_cell else abs(i - r)
@@ -276,6 +278,18 @@ class LossTable:
             v = (self.loss.exact_value(i, r) if self.exact
                  else self.loss.hp_value(i, r, self.ctx))
             self._values[key] = v
+        return v
+
+    def rational(self, i: int, r: int) -> Fraction:
+        """l(i, r) as a Fraction: the value itself for rational losses, the
+        exact value of its Decimal otherwise. This rationalized table is
+        what the LP and the Bayes remap optimize."""
+        if self.exact:
+            return self(i, r)
+        key = (i, r) if self._per_cell else abs(i - r)
+        v = self._rationals.get(key)
+        if v is None:
+            v = self._rationals[key] = Fraction(self(i, r))
         return v
 
     def weighted_sum(self, pairs) -> Number:
@@ -343,6 +357,22 @@ def check_row_stochastic(m: Mechanism) -> StochasticityReport:
     return StochasticityReport(ok=not problems, problems=tuple(problems))
 
 
+def cross_products(x: Fraction, y: Fraction) -> tuple[int, int]:
+    """x and y brought to the common positive denominator x.den * y.den:
+    integers that compare, and scale, exactly as x and y do."""
+    return x.numerator * y.denominator, y.numerator * x.denominator
+
+
+def ratio_within(alpha: Fraction, x: Fraction, y: Fraction) -> bool:
+    """alpha*x <= y and alpha*y <= x, exactly; a shared zero passes.
+
+    Decided by integer cross-multiplication, with no Fraction built.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    xy, yx = cross_products(x, y)
+    return a * xy <= b * yx and a * yx <= b * xy
+
+
 def check_differential_privacy(m: Mechanism, a: PrivacyLevel) -> DPReport:
     """Adjacent-result ratio test, exact.
 
@@ -355,8 +385,7 @@ def check_differential_privacy(m: Mechanism, a: PrivacyLevel) -> DPReport:
     for k, r in enumerate(m.responses):
         col = m.column(k)
         for i in range(m.n):
-            hi, lo = col[i], col[i + 1]
-            if alpha * lo > hi or alpha * hi > lo:
+            if not ratio_within(alpha, col[i], col[i + 1]):
                 return DPReport(ok=False, witness=(i, r))
     return DPReport(ok=True)
 

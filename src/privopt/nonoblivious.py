@@ -27,6 +27,7 @@ from .core import (
     StructuralError,
     UserModel,
     _as_fraction,
+    ratio_within,
 )
 from .mechanisms import truncated_geometric
 from .simplex import EQ, LE, Constraint, SimplexResult, solve_lp, verify_farkas
@@ -145,8 +146,7 @@ def check_full_differential_privacy(x: FullMechanism,
     alpha = a.alpha
     for j1, j2 in x.space.neighbor_pairs():
         for k, r in enumerate(x.responses):
-            p, q = x.rows[j1][k], x.rows[j2][k]
-            if alpha * p > q or alpha * q > p:
+            if not ratio_within(alpha, x.rows[j1][k], x.rows[j2][k]):
                 return DPReport(ok=False,
                                 witness=(x.space.label(j1),
                                          x.space.label(j2), r))

@@ -88,7 +88,7 @@ def build_lp(u: UserModel, a: PrivacyLevel,
     if n < 1:
         raise StructuralError("need at least two results (n >= 1)")
     table = LossTable(u.loss, digits)
-    objective = tuple(tuple(u.prior[i] * Fraction(table(i, r))
+    objective = tuple(tuple(u.prior[i] * table.rational(i, r)
                             for r in range(n + 1))
                       for i in range(n + 1))
     return UserLP(user=u, level=a, objective=objective, table=table)

@@ -215,6 +215,11 @@ class TestCounterexample:
         rc = main(["nonoblivious", "counterexample", "--alpha", "1/100"])
         assert rc == 2
 
+    def test_alpha_one_is_usage_error(self, capsys):
+        rc = main(["nonoblivious", "counterexample", "--alpha", "1"])
+        assert rc == 1
+        assert "error: bad --alpha '1'" in capsys.readouterr().err
+
     def test_feasible_point_at_weak_privacy_is_genuine(self):
         from privopt.nonoblivious import build_counterexample_lp
         from privopt.simplex import solve_lp
@@ -269,6 +274,19 @@ class TestUsage:
     def test_alphas_required(self, capsys):
         assert main(["compare-laplace"]) == 1
         assert "--alphas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare-laplace", "--alpha", "1/4"],
+        ["verify", "theorem1", "--alpha", "1/2", "--n", "1", "--trials", "1"],
+        ["verify", "theorem1", "--n", "1", "--trials", "1", "--prec", "3"],
+    ])
+    def test_option_prefixes_are_not_accepted(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: privopt")
+
+    def test_bad_alphas_token_names_its_flag(self, capsys):
+        assert main(["compare-laplace", "--alphas", "1/4,"]) == 1
+        assert "error: bad --alphas ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["mech", "geometric", "--alpha", "1/2", "--n", "2", "--out"],

@@ -1,5 +1,6 @@
 """Core type and check behavior, mostly against hand-computed values."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -18,7 +19,13 @@ from privopt import (
     expected_loss,
     truncated_geometric,
 )
-from privopt.core import format_rational, hp_context, parse_rational, to_decimal
+from privopt.core import (
+    format_rational,
+    hp_context,
+    parse_rational,
+    ratio_within,
+    to_decimal,
+)
 
 from goldens import (
     ALPHA_HALF,
@@ -95,6 +102,46 @@ class TestDifferentialPrivacy:
         flipped = Mechanism(n=3, responses=g.responses, rows=g.rows[::-1])
         assert check_differential_privacy(g, ALPHA_HALF).ok
         assert check_differential_privacy(flipped, ALPHA_HALF).ok
+
+
+class TestRatioWithin:
+    def test_boundary_and_zeros(self):
+        half = F(1, 2)
+        assert ratio_within(half, F(1, 3), F(1, 6))
+        assert ratio_within(half, F(1, 6), F(1, 3))
+        assert not ratio_within(half, F(1, 3), F(1, 6) - F(1, 10 ** 20))
+        assert not ratio_within(half, F(1, 6) - F(1, 10 ** 20), F(1, 3))
+        assert ratio_within(half, F(0), F(0))
+        assert not ratio_within(half, F(0), F(1, 10 ** 20))
+
+    def test_witness_matches_fraction_test(self):
+        # the integer test against the Fraction comparisons it replaced,
+        # on geometric mechanisms with one entry perturbed
+        def fraction_witness(m, alpha):
+            for k, r in enumerate(m.responses):
+                col = m.column(k)
+                for i in range(m.n):
+                    hi, lo = col[i], col[i + 1]
+                    if alpha * lo > hi or alpha * hi > lo:
+                        return (i, r)
+            return None
+
+        levels = (F(1, 4), F(1, 2), F(2, 3), F(3, 4))
+        factors = (F(0), F(1, 2), F(999, 1000), F(1001, 1000), F(2))
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            g = truncated_geometric(PrivacyLevel(rng.choice(levels)), n)
+            rows = [list(row) for row in g.rows]
+            rows[rng.randrange(n + 1)][rng.randrange(n + 1)] *= rng.choice(factors)
+            m = Mechanism(n=n, responses=g.responses, rows=rows)
+            for a in levels:
+                rep = check_differential_privacy(m, PrivacyLevel(a))
+                assert rep.witness == fraction_witness(m, a)
+                assert rep.ok == (rep.witness is None)
+                outcomes.add(rep.ok)
+        assert outcomes == {True, False}
 
 
 class TestCompose:

@@ -254,6 +254,33 @@ class TestSampler:
             assert check_full_row_stochastic(x).ok
             assert check_full_differential_privacy(x, ALPHA_HALF).ok
 
+    def test_witness_matches_fraction_test(self):
+        # the integer test against the Fraction comparisons it replaced,
+        # on sampled mechanisms with one entry perturbed
+        def fraction_witness(x, alpha):
+            for j1, j2 in x.space.neighbor_pairs():
+                for k, r in enumerate(x.responses):
+                    p, q = x.rows[j1][k], x.rows[j2][k]
+                    if alpha * p > q or alpha * q > p:
+                        return (x.space.label(j1), x.space.label(j2), r)
+            return None
+
+        rng = random.Random(57)
+        sp = binary_space(2)
+        outcomes = set()
+        for _ in range(30):
+            x = random_dp_full_mechanism(rng, sp, ALPHA_HALF)
+            rows = [list(row) for row in x.rows]
+            rows[rng.randrange(len(rows))][rng.randrange(3)] *= rng.choice(
+                (F(0), F(1, 3), F(1, 2), F(2), F(3)))
+            y = FullMechanism(sp, x.responses, rows)
+            for a in (F(1, 3), F(1, 2), F(2, 3)):
+                rep = check_full_differential_privacy(y, PrivacyLevel(a))
+                assert rep.witness == fraction_witness(y, a)
+                assert rep.ok == (rep.witness is None)
+                outcomes.add(rep.ok)
+        assert outcomes == {True, False}
+
     def test_sampler_varies_rows_across_a_class(self):
         # non-oblivious on purpose: some class has two differing rows
         rng = random.Random(56)

@@ -15,7 +15,9 @@ from privopt import (
     expected_loss,
     truncated_geometric,
 )
+from privopt import remap as remap_module
 from privopt.analysis import random_user
+from privopt.core import LossTable
 from privopt.optlp import optimal_mechanism_for_user
 from privopt.remap import optimal_remap
 from privopt.simplex import EQ, Constraint, solve_lp
@@ -24,6 +26,7 @@ from goldens import (
     ALPHA_HALF,
     BENCHMARK_DERIVED_MAP,
     BENCHMARK_USER,
+    BENCHMARK_VERTEX,
     RAMP_USER_12,
     RAMP_USER_12_REMAPPED_LOSS,
     endpoint_user,
@@ -223,3 +226,117 @@ class TestRandomizedRemapsCannotWin:
             y = optimal_remap(g, u)
             achieved = expected_loss(compose(y, g), u)
             assert self.lp_best_remap_loss(g, u) == achieved
+
+
+def generic_remap(monkeypatch, x, u, digits=None):
+    """optimal_remap forced through the generic loop."""
+    with monkeypatch.context() as mp:
+        mp.setattr(remap_module, "_geometric_ratio", lambda x: None)
+        return optimal_remap(x, u, digits)
+
+
+def kernel_remap(x, u, alpha):
+    """The geometric kernel run on x whatever its shape."""
+    table = LossTable(u.loss)
+    w = [[p * table.rational(i, t) for i, p in enumerate(u.prior)]
+         for t in range(x.n + 1)]
+    return tuple(remap_module._geometric_targets(alpha, w))
+
+
+def random_tabulated(rng, n):
+    """Per-row loss grids, nondecreasing in |i - r|, distinct across rows."""
+    rows = []
+    for i in range(n + 1):
+        by_dist, acc = [], F(0)
+        for _ in range(n + 1):
+            acc += F(rng.randint(0, 4), rng.randint(1, 3))
+            by_dist.append(acc)
+        rows.append([by_dist[abs(i - r)] for r in range(n + 1)])
+    return LossFunction.tabulated(rows)
+
+
+KERNEL_ALPHAS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4))
+RAMP_USER_5 = UserModel(prior=tuple(F(k + 1, 21) for k in range(6)),
+                        loss=LossFunction.power(F(1, 2)))
+
+
+class TestGeometricKernel:
+    """Mechanisms shaped like the truncated geometric mechanism take the
+    O(n^2) route; it must agree with the generic loop everywhere."""
+
+    def test_shape_test_accepts_truncated_geometric(self):
+        for alpha in KERNEL_ALPHAS:
+            for n in (1, 2, 5, 9):
+                g = truncated_geometric(PrivacyLevel(alpha), n)
+                assert remap_module._geometric_ratio(g) == alpha
+        # alpha = 0 would fit the identity, but its entries are not positive
+        assert remap_module._geometric_ratio(identity_mechanism(3)) is None
+
+    def test_kernel_equals_generic_loop(self, monkeypatch):
+        rng = random.Random(41)
+        losses = [LossFunction.absolute(), LossFunction.squared(),
+                  LossFunction.binary(), LossFunction.power(F(1, 2)),
+                  LossFunction.power(F(3, 2)), None]
+        kinds = set()
+        for j in range(200):
+            n = rng.randint(1, 14)
+            loss = losses[j % len(losses)] or random_tabulated(rng, n)
+            prior = (tuple(F(1, n + 1) for _ in range(n + 1))
+                     if rng.random() < 0.3 else random_user(rng, n).prior)
+            u = UserModel(prior=prior, loss=loss)
+            digits = (2, 3, None)[j // len(losses) % 3]
+            g = truncated_geometric(PrivacyLevel(rng.choice(KERNEL_ALPHAS)), n)
+            assert remap_module._geometric_ratio(g) is not None
+            assert (optimal_remap(g, u, digits)
+                    == generic_remap(monkeypatch, g, u, digits))
+            kinds.add((loss.kind, loss.exponent, digits))
+        assert len(kinds) == 18
+
+    def test_ties_take_smallest_index(self, monkeypatch):
+        # response 1 sits halfway between the two equally likely results:
+        # every target costs alpha, so it goes to 0
+        g = truncated_geometric(ALPHA_HALF, 2)
+        u = UserModel(prior=(F(1, 2), F(0), F(1, 2)),
+                      loss=LossFunction.absolute())
+        assert remap_module._geometric_ratio(g) == F(1, 2)
+        assert optimal_remap(g, u).mapping == (0, 0, 2)
+        assert generic_remap(monkeypatch, g, u).mapping == (0, 0, 2)
+
+    def test_perturbed_entry_takes_generic_loop(self, monkeypatch):
+        rows = [list(row) for row in truncated_geometric(ALPHA_HALF, 5).rows]
+        delta = rows[2][3] / 1000
+        rows[2][3] += delta
+        rows[2][2] -= delta
+        m = Mechanism(n=5, responses=tuple(range(6)), rows=rows)
+        assert remap_module._geometric_ratio(m) is None
+        for u in (BENCHMARK_USER, endpoint_user(5), RAMP_USER_5):
+            assert optimal_remap(m, u) == generic_remap(monkeypatch, m, u)
+
+    def test_merged_column_takes_generic_loop(self, monkeypatch):
+        g = truncated_geometric(ALPHA_HALF, 5)
+        m = compose(optimal_remap(g, endpoint_user(5)), g)
+        assert remap_module._geometric_ratio(m) is None
+        y = optimal_remap(m, BENCHMARK_USER)
+        assert y == generic_remap(monkeypatch, m, BENCHMARK_USER)
+        assert y.mapping == (1, 0, 0, 0, 0, 4)
+
+    def test_zero_column_takes_generic_loop(self, monkeypatch):
+        m = Mechanism(n=5, responses=tuple(range(6)), rows=BENCHMARK_VERTEX)
+        assert remap_module._geometric_ratio(m) is None
+        y = optimal_remap(m, BENCHMARK_USER)
+        assert y == generic_remap(monkeypatch, m, BENCHMARK_USER)
+        # the zero column is unreachable and goes to 0; the kernel, which
+        # assumes every column positive, would send it to 2
+        assert y.mapping == (0, 0, 2, 3, 4, 5)
+        assert kernel_remap(m, BENCHMARK_USER, F(1, 2))[1] == 2
+        # every other column geometric: only the positivity test rejects it
+        rows = [list(row) for row in truncated_geometric(ALPHA_HALF, 5).rows]
+        for row in rows:
+            row[2] = F(0)
+        m = Mechanism(n=5, responses=tuple(range(6)), rows=rows)
+        assert remap_module._geometric_ratio(m) is None
+        y = optimal_remap(m, BENCHMARK_USER)
+        assert y == generic_remap(monkeypatch, m, BENCHMARK_USER)
+        assert y.mapping[2] == 0
+        assert kernel_remap(m, BENCHMARK_USER, F(1, 2))[2] == 2
+
