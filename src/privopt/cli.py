@@ -200,19 +200,27 @@ def _theorem1_sweep(args) -> dict:
         n = rng.randint(1, args.n)
         level = alphas[rng.randrange(len(alphas))]
         user = analysis.random_user(rng, n)
-        check = analysis.verify_factorization(user, level, digits=digits)
-        trials.append({
+        rec = {
             "trial": t,
             "n": n,
             "alpha": format_rational(level.alpha),
             "user": serialize.user_to_jsonable(user),
-            "loss_remapped_geometric": _number_str(check.remap_loss),
-            "loss_lp_vertex": _number_str(check.vertex.objective),
-            "losses_match": check.losses_match,
-            "structure_ok": check.structure.ok,
-            "reconstruction_ok": check.reconstruction_ok,
-            "verdict": "pass" if check.ok else "fail",
-        })
+        }
+        try:
+            check = analysis.verify_factorization(user, level, digits=digits)
+        except Exception as e:  # recorded as this trial's failure
+            rec.update(loss_remapped_geometric=None, loss_lp_vertex=None,
+                       losses_match=None, structure_ok=None,
+                       reconstruction_ok=None, verdict="error",
+                       error=f"{type(e).__name__}: {e}")
+        else:
+            rec.update(loss_remapped_geometric=_number_str(check.remap_loss),
+                       loss_lp_vertex=_number_str(check.vertex.objective),
+                       losses_match=check.losses_match,
+                       structure_ok=check.structure.ok,
+                       reconstruction_ok=check.reconstruction_ok,
+                       verdict="pass" if check.ok else "fail")
+        trials.append(rec)
     passes = sum(1 for rec in trials if rec["verdict"] == "pass")
     return {
         "command": "verify theorem1",
@@ -249,9 +257,10 @@ def _cmd_verify(args) -> int:
           f"passed ({report['wall_clock_seconds']}s)")
     if not report["summary"]["all_passed"]:
         for rec in trials:
-            if rec["verdict"] == "fail":
+            if rec["verdict"] != "pass":
                 print(f"  trial {rec['trial']} failed: n={rec['n']} "
-                      f"alpha={rec['alpha']}")
+                      f"alpha={rec['alpha']}"
+                      + (f" ({rec['error']})" if "error" in rec else ""))
         return 2
     return 0
 

@@ -12,6 +12,7 @@ optimizers (the LP and the Bayes remap) read the same rationalized table.
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -344,16 +345,22 @@ class DPReport:
 
 
 def check_row_stochastic(m: Mechanism) -> StochasticityReport:
-    """Exact check: entries in [0, 1] and every row sums to exactly 1."""
+    """Exact check: entries in [0, 1] and every row sums to exactly 1.
+
+    Decided on integers: an entry num/den lies in [0, 1] when
+    0 <= num <= den, and a row sums to 1 when the numerators brought to
+    the lcm L of its denominators sum to L.
+    """
     problems = []
     for i, row in enumerate(m.rows):
-        for k, v in enumerate(row):
-            if v < 0 or v > 1:
-                problems.append(f"entry ({i},{m.responses[k]}) = {format_rational(v)} "
-                                "outside [0, 1]")
-        total = sum(row)
-        if total != 1:
-            problems.append(f"row {i} sums to {format_rational(total)}")
+        ints = [(v.numerator, v.denominator) for v in row]
+        for k, (num, den) in enumerate(ints):
+            if num < 0 or num > den:
+                problems.append(f"entry ({i},{m.responses[k]}) = "
+                                f"{format_rational(row[k])} outside [0, 1]")
+        lcm = math.lcm(*(den for _, den in ints))
+        if sum(num * (lcm // den) for num, den in ints) != lcm:
+            problems.append(f"row {i} sums to {format_rational(sum(row))}")
     return StochasticityReport(ok=not problems, problems=tuple(problems))
 
 
@@ -363,14 +370,19 @@ def cross_products(x: Fraction, y: Fraction) -> tuple[int, int]:
     return x.numerator * y.denominator, y.numerator * x.denominator
 
 
-def ratio_within(alpha: Fraction, x: Fraction, y: Fraction) -> bool:
-    """alpha*x <= y and alpha*y <= x, exactly; a shared zero passes.
+def _first_ratio_violation(alpha: Fraction, xs, ys) -> int | None:
+    """First index k at which alpha*x > y or alpha*y > x, for x = xs[k]
+    and y = ys[k] given as (numerator, positive denominator) pairs; None
+    when every pair is within ratio alpha. A shared zero passes.
 
     Decided by integer cross-multiplication, with no Fraction built.
     """
     a, b = alpha.numerator, alpha.denominator
-    xy, yx = cross_products(x, y)
-    return a * xy <= b * yx and a * yx <= b * xy
+    for k, ((xn, xd), (yn, yd)) in enumerate(zip(xs, ys)):
+        xy, yx = xn * yd, yn * xd
+        if a * xy > b * yx or a * yx > b * xy:
+            return k
+    return None
 
 
 def check_differential_privacy(m: Mechanism, a: PrivacyLevel) -> DPReport:
@@ -381,12 +393,11 @@ def check_differential_privacy(m: Mechanism, a: PrivacyLevel) -> DPReport:
     passes (the 0/0 ratio counts as 1). Returns the first violating
     (i, response) pair scanned column by column.
     """
-    alpha = a.alpha
-    for k, r in enumerate(m.responses):
-        col = m.column(k)
-        for i in range(m.n):
-            if not ratio_within(alpha, col[i], col[i + 1]):
-                return DPReport(ok=False, witness=(i, r))
+    ints = [[(v.numerator, v.denominator) for v in row] for row in m.rows]
+    for r, col in zip(m.responses, zip(*ints)):
+        i = _first_ratio_violation(a.alpha, col, col[1:])
+        if i is not None:
+            return DPReport(ok=False, witness=(i, r))
     return DPReport(ok=True)
 
 

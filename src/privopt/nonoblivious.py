@@ -13,6 +13,7 @@ mechanism, certified by an exact LP infeasibility witness.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .core import (
     StructuralError,
     UserModel,
     _as_fraction,
-    ratio_within,
+    _first_ratio_violation,
 )
 from .mechanisms import truncated_geometric
 from .simplex import EQ, LE, Constraint, SimplexResult, solve_lp, verify_farkas
@@ -141,16 +142,28 @@ def check_full_row_stochastic(x: FullMechanism) -> StochasticityReport:
     return StochasticityReport(ok=not problems, problems=tuple(problems))
 
 
+def _first_private_violation(space: DatabaseSpace, alpha: Fraction,
+                             ints) -> tuple[int, int, int] | None:
+    """First (j1, j2, k) at which neighbours j1 < j2 break the ratio
+    bound in response column k, scanning neighbour pairs in order and
+    responses within each; ints[j] is row j as (numerator, positive
+    denominator) pairs."""
+    for j1, j2 in space.neighbor_pairs():
+        k = _first_ratio_violation(alpha, ints[j1], ints[j2])
+        if k is not None:
+            return j1, j2, k
+    return None
+
+
 def check_full_differential_privacy(x: FullMechanism,
                                     a: PrivacyLevel) -> DPReport:
-    alpha = a.alpha
-    for j1, j2 in x.space.neighbor_pairs():
-        for k, r in enumerate(x.responses):
-            if not ratio_within(alpha, x.rows[j1][k], x.rows[j2][k]):
-                return DPReport(ok=False,
-                                witness=(x.space.label(j1),
-                                         x.space.label(j2), r))
-    return DPReport(ok=True, witness=None)
+    ints = [[(v.numerator, v.denominator) for v in row] for row in x.rows]
+    hit = _first_private_violation(x.space, a.alpha, ints)
+    if hit is None:
+        return DPReport(ok=True, witness=None)
+    j1, j2, k = hit
+    return DPReport(ok=False, witness=(x.space.label(j1), x.space.label(j2),
+                                       x.responses[k]))
 
 
 def lift(m: Mechanism, space: DatabaseSpace) -> FullMechanism:
@@ -355,23 +368,28 @@ def random_dp_full_mechanism(rng: random.Random, space: DatabaseSpace,
     """
     n = space.rows
     g = truncated_geometric(a, n)
-    width = n + 1
-    uniform = Fraction(1, width)
-    base = [tuple(Fraction(3, 4) * v + Fraction(1, 4) * uniform for v in row)
-            for row in g.rows]
-    eps = Fraction(1, _JIGGLE_DENOMINATOR)
+    uniform = Fraction(1, n + 1)
+    # base row i as integers over one denominator
+    base = []
+    for row in g.rows:
+        mixed = [Fraction(3, 4) * v + Fraction(1, 4) * uniform for v in row]
+        lcm = math.lcm(*(v.denominator for v in mixed))
+        base.append([v.numerator * (lcm // v.denominator) for v in mixed])
+    # with jiggle size 1/scale, cell k of a row is multiplied by
+    # 1 + r_k / (8 scale), so the row is proportional to b_k (8 scale + r_k)
+    scale = _JIGGLE_DENOMINATOR
     for _ in range(max_tries):
-        rows = []
+        ints = []
         for d in space.databases:
-            src = base[space.result(d)]
-            jig = [v * (1 + eps * Fraction(rng.randint(-8, 8), 8))
-                   for v in src]
-            total = sum(jig)
-            rows.append(tuple(v / total for v in jig))
-        cand = FullMechanism(space=space, responses=g.responses,
-                             rows=tuple(rows))
-        if check_full_differential_privacy(cand, a).ok:
-            return cand
-        eps /= 2
+            weights = [b * (8 * scale + rng.randint(-8, 8))
+                       for b in base[space.result(d)]]
+            total = sum(weights)
+            ints.append([(w, total) for w in weights])
+        if _first_private_violation(space, a.alpha, ints) is None:
+            return FullMechanism(
+                space=space, responses=g.responses,
+                rows=tuple(tuple(Fraction(w, total) for w, total in row)
+                           for row in ints))
+        scale *= 2
     raise RuntimeError("could not sample a private mechanism; "
                        "alpha may be too extreme")

@@ -20,12 +20,16 @@ from privopt.core import (
     Number,
     PrivacyLevel,
     Remap,
+    StochasticityReport,
     StructuralError,
     UserModel,
     compose,
     expected_loss,
+    format_rational,
     hp_context,
 )
+from privopt.mechanisms import truncated_geometric
+from privopt.nonoblivious import FullMechanism
 from privopt.simplex import GE, LE
 
 
@@ -292,6 +296,67 @@ def adversarial_worst_loss(x, u: UserModel, space, digits: int = 64):
         if best is None or total > best:
             best = total
     return best
+
+
+def fraction_row_stochastic(m: Mechanism) -> StochasticityReport:
+    """check_row_stochastic by Fraction comparisons and Fraction row sums."""
+    problems = []
+    for i, row in enumerate(m.rows):
+        for k, v in enumerate(row):
+            if v < 0 or v > 1:
+                problems.append(f"entry ({i},{m.responses[k]}) = "
+                                f"{format_rational(v)} outside [0, 1]")
+        total = sum(row)
+        if total != 1:
+            problems.append(f"row {i} sums to {format_rational(total)}")
+    return StochasticityReport(ok=not problems, problems=tuple(problems))
+
+
+def fraction_dp_witness(m: Mechanism, alpha: Fraction):
+    """check_differential_privacy's witness by Fraction comparisons."""
+    for k, r in enumerate(m.responses):
+        col = m.column(k)
+        for i in range(m.n):
+            hi, lo = col[i], col[i + 1]
+            if alpha * lo > hi or alpha * hi > lo:
+                return (i, r)
+    return None
+
+
+def fraction_full_dp_witness(x: FullMechanism, alpha: Fraction):
+    """check_full_differential_privacy's witness by Fraction comparisons."""
+    for j1, j2 in x.space.neighbor_pairs():
+        for k, r in enumerate(x.responses):
+            p, q = x.rows[j1][k], x.rows[j2][k]
+            if alpha * p > q or alpha * q > p:
+                return (x.space.label(j1), x.space.label(j2), r)
+    return None
+
+
+def fraction_dp_full_mechanism(rng, space, a: PrivacyLevel,
+                               max_tries: int = 200) -> FullMechanism:
+    """random_dp_full_mechanism computed cell by cell in Fractions: each
+    base cell times its jiggle factor, each row divided by its sum."""
+    n = space.rows
+    g = truncated_geometric(a, n)
+    uniform = Fraction(1, n + 1)
+    base = [tuple(Fraction(3, 4) * v + Fraction(1, 4) * uniform for v in row)
+            for row in g.rows]
+    eps = Fraction(1, 64)
+    for _ in range(max_tries):
+        rows = []
+        for d in space.databases:
+            src = base[space.result(d)]
+            jig = [v * (1 + eps * Fraction(rng.randint(-8, 8), 8))
+                   for v in src]
+            total = sum(jig)
+            rows.append(tuple(v / total for v in jig))
+        cand = FullMechanism(space=space, responses=g.responses,
+                             rows=tuple(rows))
+        if fraction_full_dp_witness(cand, a.alpha) is None:
+            return cand
+        eps /= 2
+    raise RuntimeError("could not sample a private mechanism")
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,43 @@ class TestVerify:
         assert "loss_remapped_geometric" in lines[0]
         assert "loss_lp_vertex" in lines[0]
 
+    def test_raising_trial_is_recorded(self, tmp_path, capsys, monkeypatch):
+        from privopt import analysis
+
+        def run(tag):
+            report, csv_path = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+            rc = main(["verify", "theorem1", "--n", "3", "--trials", "5",
+                       "--seed", "1", "--report", str(report),
+                       "--csv", str(csv_path)])
+            return (rc, capsys.readouterr().out, json.loads(report.read_text()),
+                    csv_path.read_text().splitlines())
+
+        clean = run("clean")[2]
+        real, calls = analysis.verify_factorization, []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "verify_factorization", flaky)
+        rc, out, rep, csv_lines = run("flaky")
+        assert rc == 2
+        assert "4/5 trials passed" in out
+        assert "trial 2 failed" in out and "RuntimeError: boom" in out
+        bad = rep["trials"][2]
+        assert bad["verdict"] == "error"
+        assert bad["error"] == "RuntimeError: boom"
+        assert bad["loss_remapped_geometric"] is None
+        assert bad["loss_lp_vertex"] is None
+        assert bad["user"] == clean["trials"][2]["user"]
+        assert [r for t, r in enumerate(rep["trials"]) if t != 2] == \
+            [r for t, r in enumerate(clean["trials"]) if t != 2]
+        assert rep["summary"] == {"passes": 4, "failures": 1,
+                                  "all_passed": False}
+        assert len(csv_lines) == 6 and csv_lines[3].endswith(",error")
+
 
 class TestCounterexample:
     def test_default_instance_exits_zero(self, tmp_path, capsys):

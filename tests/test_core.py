@@ -20,10 +20,10 @@ from privopt import (
     truncated_geometric,
 )
 from privopt.core import (
+    _first_ratio_violation,
     format_rational,
     hp_context,
     parse_rational,
-    ratio_within,
     to_decimal,
 )
 
@@ -34,6 +34,7 @@ from goldens import (
     BENCHMARK_VERTEX_LOSS,
     endpoint_user,
 )
+from oracles import fraction_dp_witness, fraction_row_stochastic
 
 
 def identity_mechanism(n):
@@ -73,6 +74,44 @@ class TestStochasticity:
         rep = check_row_stochastic(m)
         assert not rep.ok
 
+    BIG, PRIME = 10 ** 30 + 1, 2 ** 89 - 1
+
+    @pytest.mark.parametrize("rows, ok", [
+        # a negative entry
+        (((F(3, 2), F(-1, 2)), (F(0), F(1))), False),
+        # an entry above 1 in a row that sums to 1, and a row summing to 0
+        (((F(5, 4), F(-1, 4), F(0)), (F(0), F(0), F(0))), False),
+        # rows off by 1/den of their largest denominator
+        (((F(1, 3), F(2, 3) - F(1, 7)), (F(1, 7), F(6, 7) + F(1, 21))), False),
+        # large denominators whose lcm is far from any one of them
+        (((F(1, BIG), F(BIG - 1, BIG), F(0)),
+          (F(1, PRIME), F(1, 3 ** 60), 1 - F(1, PRIME) - F(1, 3 ** 60))), True),
+        (((F(1, BIG), F(BIG - 1, BIG), F(0)),
+          (F(1, PRIME), F(1, 3 ** 60), 1 - F(1, 3 ** 60))), False),
+    ])
+    def test_report_matches_fraction_check(self, rows, ok):
+        m = Mechanism(n=len(rows) - 1, responses=tuple(range(len(rows[0]))),
+                      rows=rows)
+        rep = check_row_stochastic(m)
+        assert rep == fraction_row_stochastic(m)
+        assert rep.ok == ok
+
+    def test_reports_match_fraction_check_on_perturbed_mechanisms(self):
+        rng = random.Random(33)
+        outcomes = set()
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            g = truncated_geometric(PrivacyLevel(F(rng.randint(1, 9), 10)), n)
+            rows = [list(row) for row in g.rows]
+            for _ in range(rng.randint(0, 2)):
+                i, k = rng.randrange(n + 1), rng.randrange(n + 1)
+                rows[i][k] += F(rng.randint(-3, 3), rng.choice((7, 64, 10 ** 12)))
+            m = Mechanism(n=n, responses=g.responses, rows=rows)
+            rep = check_row_stochastic(m)
+            assert rep == fraction_row_stochastic(m)
+            outcomes.add(rep.ok)
+        assert outcomes == {True, False}
+
 
 class TestDifferentialPrivacy:
     def test_benchmark_vertex_is_half_private(self):
@@ -105,43 +144,58 @@ class TestDifferentialPrivacy:
 
 
 class TestRatioWithin:
+    @staticmethod
+    def within(alpha, x, y):
+        pair = (lambda v: (v.numerator, v.denominator))
+        return _first_ratio_violation(alpha, [pair(x)], [pair(y)]) is None
+
     def test_boundary_and_zeros(self):
         half = F(1, 2)
-        assert ratio_within(half, F(1, 3), F(1, 6))
-        assert ratio_within(half, F(1, 6), F(1, 3))
-        assert not ratio_within(half, F(1, 3), F(1, 6) - F(1, 10 ** 20))
-        assert not ratio_within(half, F(1, 6) - F(1, 10 ** 20), F(1, 3))
-        assert ratio_within(half, F(0), F(0))
-        assert not ratio_within(half, F(0), F(1, 10 ** 20))
+        assert self.within(half, F(1, 3), F(1, 6))
+        assert self.within(half, F(1, 6), F(1, 3))
+        assert not self.within(half, F(1, 3), F(1, 6) - F(1, 10 ** 20))
+        assert not self.within(half, F(1, 6) - F(1, 10 ** 20), F(1, 3))
+        assert self.within(half, F(0), F(0))
+        assert not self.within(half, F(0), F(1, 10 ** 20))
+
+    def test_first_index_and_unreduced_pairs(self):
+        xs = [(1, 3), (2, 6), (0, 5), (4, 8)]
+        ys = [(2, 12), (1, 9), (0, 7), (4, 2)]
+        # (2/6, 1/9) breaks ratio 1/2 but not 1/3; (4/8, 4/2) breaks both;
+        # the zeros pass
+        assert _first_ratio_violation(F(1, 2), xs, ys) == 1
+        assert _first_ratio_violation(F(1, 3), xs, ys) == 3
+        assert _first_ratio_violation(F(1, 3), xs[:3], ys[:3]) is None
 
     def test_witness_matches_fraction_test(self):
         # the integer test against the Fraction comparisons it replaced,
-        # on geometric mechanisms with one entry perturbed
-        def fraction_witness(m, alpha):
-            for k, r in enumerate(m.responses):
-                col = m.column(k)
-                for i in range(m.n):
-                    hi, lo = col[i], col[i + 1]
-                    if alpha * lo > hi or alpha * hi > lo:
-                        return (i, r)
-            return None
-
+        # on geometric mechanisms with one entry perturbed, a zero set next
+        # to a positive entry, or the last pair in scan order broken
         levels = (F(1, 4), F(1, 2), F(2, 3), F(3, 4))
         factors = (F(0), F(1, 2), F(999, 1000), F(1001, 1000), F(2))
         rng = random.Random(31)
         outcomes = set()
-        for _ in range(150):
+        witnesses = set()
+        for trial in range(150):
             n = rng.randint(1, 6)
             g = truncated_geometric(PrivacyLevel(rng.choice(levels)), n)
             rows = [list(row) for row in g.rows]
-            rows[rng.randrange(n + 1)][rng.randrange(n + 1)] *= rng.choice(factors)
+            if trial % 3 == 0:
+                rows[rng.randrange(n + 1)][rng.randrange(n + 1)] *= rng.choice(factors)
+            elif trial % 3 == 1:
+                rows[rng.randrange(n + 1)][rng.randrange(n + 1)] = F(0)
+            else:
+                rows[n][n] *= rng.choice(factors)
             m = Mechanism(n=n, responses=g.responses, rows=rows)
             for a in levels:
                 rep = check_differential_privacy(m, PrivacyLevel(a))
-                assert rep.witness == fraction_witness(m, a)
+                assert rep.witness == fraction_dp_witness(m, a)
                 assert rep.ok == (rep.witness is None)
                 outcomes.add(rep.ok)
+                if trial % 3 == 2 and rep.witness is not None:
+                    witnesses.add(rep.witness == (n - 1, n))
         assert outcomes == {True, False}
+        assert True in witnesses
 
 
 class TestCompose:

@@ -34,7 +34,13 @@ from privopt.nonoblivious import (
 from privopt.simplex import solve_lp
 
 from goldens import ALPHA_HALF, LIFT_USER_3, LIFT_USER_3_WORST_LOSS
-from oracles import adversarial_worst_loss, agree, neighbor_pairs
+from oracles import (
+    adversarial_worst_loss,
+    agree,
+    fraction_dp_full_mechanism,
+    fraction_full_dp_witness,
+    neighbor_pairs,
+)
 
 TOL = F(1, 10 ** 30)
 
@@ -256,30 +262,67 @@ class TestSampler:
 
     def test_witness_matches_fraction_test(self):
         # the integer test against the Fraction comparisons it replaced,
-        # on sampled mechanisms with one entry perturbed
-        def fraction_witness(x, alpha):
-            for j1, j2 in x.space.neighbor_pairs():
-                for k, r in enumerate(x.responses):
-                    p, q = x.rows[j1][k], x.rows[j2][k]
-                    if alpha * p > q or alpha * q > p:
-                        return (x.space.label(j1), x.space.label(j2), r)
-            return None
-
+        # on sampled mechanisms with one entry perturbed, a zero set next
+        # to a positive entry, or the last pair in scan order broken
         rng = random.Random(57)
         sp = binary_space(2)
+        last = (sp.label(neighbor_pairs(sp)[-1][0]),
+                sp.label(neighbor_pairs(sp)[-1][1]), 2)
         outcomes = set()
-        for _ in range(30):
+        witnesses = set()
+        for trial in range(30):
             x = random_dp_full_mechanism(rng, sp, ALPHA_HALF)
             rows = [list(row) for row in x.rows]
-            rows[rng.randrange(len(rows))][rng.randrange(3)] *= rng.choice(
-                (F(0), F(1, 3), F(1, 2), F(2), F(3)))
+            if trial % 3 == 0:
+                rows[rng.randrange(len(rows))][rng.randrange(3)] *= rng.choice(
+                    (F(0), F(1, 3), F(1, 2), F(2), F(3)))
+            elif trial % 3 == 1:
+                rows[rng.randrange(len(rows))][rng.randrange(3)] = F(0)
+            else:
+                # only the last neighbour pair, {1}~{1,2}, breaks ratio 1/2
+                # in response 2
+                c = rows[3][2]
+                rows[1][2], rows[0][2], rows[2][2] = c, c * 3 / 2, c * 11 / 5
             y = FullMechanism(sp, x.responses, rows)
             for a in (F(1, 3), F(1, 2), F(2, 3)):
                 rep = check_full_differential_privacy(y, PrivacyLevel(a))
-                assert rep.witness == fraction_witness(y, a)
+                assert rep.witness == fraction_full_dp_witness(y, a)
                 assert rep.ok == (rep.witness is None)
                 outcomes.add(rep.ok)
+                witnesses.add(rep.witness)
         assert outcomes == {True, False}
+        assert last in witnesses
+
+    class CountingRandom(random.Random):
+        randints = 0
+
+        def randint(self, a, b):
+            self.randints += 1
+            return super().randint(a, b)
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_draws_match_fraction_sampler(self, rows):
+        # equal rows and an equal random state afterwards; seed 1 at
+        # rows 7 and alpha 3/4 rejects its first candidate
+        sp = binary_space(rows)
+        for a in (F(1, 4), F(1, 2), F(3, 4)):
+            for seed in (1, rows):
+                rng, ref = self.CountingRandom(seed), random.Random(seed)
+                x = random_dp_full_mechanism(rng, sp, PrivacyLevel(a))
+                assert x == fraction_dp_full_mechanism(ref, sp, PrivacyLevel(a))
+                assert rng.random() == ref.random()
+                if (rows, a, seed) == (7, F(3, 4), 1):
+                    assert rng.randints == 2 * len(sp.databases) * (rows + 1)
+
+    def test_draws_match_fraction_sampler_after_rejection(self):
+        # the seed-202 perfbench mechanism with 9 database rows at
+        # alpha 3/4, whose first candidate is rejected
+        sp, a = binary_space(9), PrivacyLevel(F(3, 4))
+        rng, ref = self.CountingRandom(388641693), random.Random(388641693)
+        x = random_dp_full_mechanism(rng, sp, a)
+        assert rng.randints == 2 * len(sp.databases) * 10
+        assert x == fraction_dp_full_mechanism(ref, sp, a)
+        assert rng.random() == ref.random()
 
     def test_sampler_varies_rows_across_a_class(self):
         # non-oblivious on purpose: some class has two differing rows
