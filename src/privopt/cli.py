@@ -61,9 +61,14 @@ def _number_str(v) -> str:
     return str(v)
 
 
+# Decimal's cost grows faster than the square of the digits: a cube-root
+# loss table at n = 8 takes 0.4 s at 1,000 digits and 81 s at 10,000.
+MAX_PRECISION = 1000
+
+
 def _resolve_precision(args) -> int:
-    if args.precision < 1:
-        raise UsageError("--precision must be a positive integer")
+    if not 1 <= args.precision <= MAX_PRECISION:
+        raise UsageError(f"--precision must be from 1 to {MAX_PRECISION}")
     return args.precision
 
 
@@ -135,9 +140,7 @@ def _cmd_remap(args) -> int:
                         "mechanism")
     user = _load(args.user, serialize.user_from_jsonable, "user")
     digits = _resolve_precision(args)
-    sto = check_row_stochastic(mech)
-    if not sto.ok:
-        raise StructuralError("not row-stochastic: " + "; ".join(sto.problems))
+    check_row_stochastic(mech).require()
     y = optimal_remap(mech, user, digits)
     _emit(serialize.remap_to_jsonable(y), args.out)
     return 0
@@ -349,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_precision(p):
         p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                       help=f"decimal digits for irrational losses "
-                            f"(default {DEFAULT_PRECISION})")
+                       help=f"decimal digits for irrational losses (default "
+                            f"{DEFAULT_PRECISION}, at most {MAX_PRECISION})")
 
     p = sub.add_parser("mech", help="construct a named mechanism")
     p.add_argument("kind", choices=["geometric"],

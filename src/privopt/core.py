@@ -337,6 +337,12 @@ class StochasticityReport:
     ok: bool
     problems: tuple[str, ...] = ()
 
+    def require(self, what: str = "") -> None:
+        """Raise StructuralError unless ok; what prefixes the message."""
+        if not self.ok:
+            raise StructuralError(f"{what}not row-stochastic: "
+                                  + "; ".join(self.problems))
+
 
 @dataclass(frozen=True)
 class DPReport:
@@ -362,12 +368,6 @@ def check_row_stochastic(m: Mechanism) -> StochasticityReport:
         if sum(num * (lcm // den) for num, den in ints) != lcm:
             problems.append(f"row {i} sums to {format_rational(sum(row))}")
     return StochasticityReport(ok=not problems, problems=tuple(problems))
-
-
-def cross_products(x: Fraction, y: Fraction) -> tuple[int, int]:
-    """x and y brought to the common positive denominator x.den * y.den:
-    integers that compare, and scale, exactly as x and y do."""
-    return x.numerator * y.denominator, y.numerator * x.denominator
 
 
 def _first_ratio_violation(alpha: Fraction, xs, ys) -> int | None:

@@ -186,9 +186,7 @@ def obliviate(x: FullMechanism) -> Mechanism:
     rather than asserted here.
     """
     space = x.space
-    sto = check_full_row_stochastic(x)
-    if not sto.ok:
-        raise StructuralError("not row-stochastic: " + "; ".join(sto.problems))
+    check_full_row_stochastic(x).require()
     rows = []
     for members in space.classes():
         width = len(x.responses)
@@ -308,46 +306,48 @@ class InfeasibilityCertificate:
     alpha: Fraction
     infeasible: bool
     verified: bool
-    multipliers: tuple[Fraction, ...] | None
-    num_variables: int
-    num_constraints: int
     labels: tuple[str, ...]
     detail: str
     result: SimplexResult
 
+    @property
+    def multipliers(self) -> tuple[Fraction, ...] | None:
+        return self.result.farkas
+
+    @property
+    def num_variables(self) -> int:
+        return self.result.num_vars
+
+    @property
+    def num_constraints(self) -> int:
+        return len(self.labels)
+
     def nonzero_multipliers(self) -> tuple[tuple[str, Fraction], ...]:
-        if self.multipliers is None:
-            return ()
-        return tuple((self.labels[i], lam)
-                     for i, lam in enumerate(self.multipliers) if lam != 0)
+        return tuple((label, lam) for label, lam
+                     in zip(self.labels, self.multipliers or ()) if lam)
 
 
 def check_counterexample_infeasibility(
         alpha: Fraction = Fraction(1, 2)) -> InfeasibilityCertificate:
     """Decide feasibility of the two-user instance and, when infeasible,
-    return the dual witness re-verified with exact rational arithmetic:
-    the witness combination of the constraints has no nonnegative part
+    verify the solver's dual witness with exact rational arithmetic: the
+    witness combination of the constraints has no positive coefficient
     yet a strictly positive right-hand side, so no mechanism exists.
     """
     nv, constraints, labels, _ = build_counterexample_lp(alpha)
-    objective = [Fraction(0)] * nv
-    res = solve_lp(nv, constraints, objective)
-    if res.status == "infeasible":
-        ok, why = verify_farkas(nv, constraints, res.farkas)
+    res = solve_lp(nv, constraints, [Fraction(0)] * nv)
+    infeasible = res.status == "infeasible"
+    if infeasible:
+        verified, why = verify_farkas(nv, constraints, res.farkas)
         detail = ("no mechanism satisfies both users' requirements: "
-                  + why if ok else
-                  "solver reported infeasible but the witness failed: " + why)
-        return InfeasibilityCertificate(
-            alpha=alpha, infeasible=True, verified=ok,
-            multipliers=res.farkas, num_variables=nv,
-            num_constraints=len(constraints), labels=tuple(labels),
-            detail=detail, result=res)
+                  if verified else
+                  "solver reported infeasible but the witness failed: ") + why
+    else:
+        verified = False
+        detail = "a mechanism satisfying every constraint exists"
     return InfeasibilityCertificate(
-        alpha=alpha, infeasible=False, verified=False, multipliers=None,
-        num_variables=nv, num_constraints=len(constraints),
-        labels=tuple(labels),
-        detail="a mechanism satisfying every constraint exists",
-        result=res)
+        alpha=alpha, infeasible=infeasible, verified=verified,
+        labels=tuple(labels), detail=detail, result=res)
 
 
 _JIGGLE_DENOMINATOR = 64

@@ -42,6 +42,13 @@ class UserLP:
     objective: tuple[tuple[Fraction, ...], ...]  # [i][r], rationalized
     table: LossTable  # the loss values behind objective, reused by the solve
 
+    def value(self, m: Mechanism) -> Fraction:
+        """The LP objective at m, a mechanism over responses 0..n:
+        sum objective[i][r] * x[i][r], exact."""
+        return sum((self.objective[i][r] * v
+                    for i, row in enumerate(m.rows)
+                    for r, v in zip(m.responses, row) if v), Fraction(0))
+
 
 DOWN = "v"   # alpha * x[i][r] = x[i+1][r]
 UP = "^"     # x[i][r] = alpha * x[i+1][r]
@@ -197,14 +204,11 @@ def solve_vertex(lp: UserLP) -> VertexSolution:
         rows.append(tuple(row))
     mech = Mechanism(n=n, responses=tuple(range(n + 1)), rows=tuple(rows))
 
-    constant = sum((lp.objective[i][n] for i in range(n + 1)), Fraction(0))
-    lp_value = res.objective + constant
-
     value = _expected_loss(mech, lp.user, lp.table)
     ts = tight_set(mech, lp.level)
     alternates = len(res.alternate_optimum_columns())
     return VertexSolution(mechanism=mech, objective=value,
-                          lp_objective=lp_value, tight=ts,
+                          lp_objective=lp.value(mech), tight=ts,
                           alternate_optima=alternates, pivots=res.pivots,
                           certified=True)
 

@@ -21,7 +21,6 @@ from .core import (
     Remap,
     UserModel,
     _check_prior_covers,
-    cross_products,
 )
 
 
@@ -79,7 +78,8 @@ def _geometric_ratio(x: Mechanism) -> Fraction | None:
         for i in range(n):
             near, far = ((rows[i + 1][k], rows[i][k]) if i < k
                          else (rows[i][k], rows[i + 1][k]))
-            nf, fn = cross_products(near, far)
+            nf = near.numerator * far.denominator
+            fn = far.numerator * near.denominator
             if a * nf != b * fn:  # far != alpha * near
                 return None
     return alpha

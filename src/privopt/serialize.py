@@ -66,10 +66,15 @@ def _expect_list(value, path: str) -> list:
     return value
 
 
-def _label(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise FormatError(path, "response labels must be integers or strings")
-    return value
+def _labels(data: dict, key: str, path: str) -> tuple:
+    """data[key] as a tuple of labels, each an integer or a string."""
+    path = f"{path}.{key}"
+    values = _expect_list(data[key], path)
+    for k, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise FormatError(f"{path}[{k}]",
+                              "response labels must be integers or strings")
+    return tuple(values)
 
 
 def _rows(value, path: str) -> tuple:
@@ -99,9 +104,7 @@ def mechanism_from_jsonable(data, path: str = "mechanism"):
     n = data["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise FormatError(f"{path}.n", "n must be a nonnegative integer")
-    responses = tuple(_label(v, f"{path}.responses[{k}]")
-                      for k, v in enumerate(_expect_list(data["responses"],
-                                                         f"{path}.responses")))
+    responses = _labels(data, "responses", path)
     rows = _rows(data["rows"], f"{path}.rows")
     alpha = _rational(data["alpha"], f"{path}.alpha") if "alpha" in data else None
     try:
@@ -174,12 +177,8 @@ def remap_from_jsonable(data, path: str = "remap") -> Remap:
     row over the targets; a randomized row is rejected."""
     data = _expect_dict(data, path, {"sources", "targets", "rows"},
                         {"sources", "targets", "rows"})
-    sources = tuple(_label(v, f"{path}.sources[{k}]")
-                    for k, v in enumerate(_expect_list(data["sources"],
-                                                       f"{path}.sources")))
-    targets = tuple(_label(v, f"{path}.targets[{k}]")
-                    for k, v in enumerate(_expect_list(data["targets"],
-                                                       f"{path}.targets")))
+    sources = _labels(data, "sources", path)
+    targets = _labels(data, "targets", path)
     mapping = []
     for j, row in enumerate(_rows(data["rows"], f"{path}.rows")):
         if (len(row) != len(targets) or any(v not in (0, 1) for v in row)
@@ -209,12 +208,8 @@ def space_from_jsonable(data, path: str = "space") -> DatabaseSpace:
     rows = data["rows"]
     if isinstance(rows, bool) or not isinstance(rows, int):
         raise FormatError(f"{path}.rows", "rows must be an integer")
-    domain = tuple(_label(v, f"{path}.domain[{k}]")
-                   for k, v in enumerate(_expect_list(data["domain"],
-                                                      f"{path}.domain")))
-    positive = tuple(_label(v, f"{path}.positive[{k}]")
-                     for k, v in enumerate(_expect_list(data["positive"],
-                                                        f"{path}.positive")))
+    domain = _labels(data, "domain", path)
+    positive = _labels(data, "positive", path)
     try:
         return DatabaseSpace(domain=domain, rows=rows, positive=positive)
     except StructuralError as e:
@@ -244,9 +239,7 @@ def full_mechanism_from_jsonable(data, path: str = "full_mechanism",
         space = embedded
     if space is None:
         raise FormatError(f"{path}.space", "missing required field")
-    responses = tuple(_label(v, f"{path}.responses[{k}]")
-                      for k, v in enumerate(_expect_list(data["responses"],
-                                                         f"{path}.responses")))
+    responses = _labels(data, "responses", path)
     rows = _rows(data["rows"], f"{path}.rows")
     try:
         return FullMechanism(space=space, responses=responses, rows=rows)

@@ -26,8 +26,8 @@ Bland's rule after a long run of degenerate pivots, which guarantees
 termination. Infeasibility comes with a rational Farkas certificate,
 read off the starting basis: each row's starting basic column is a unit
 column, so its phase-1 dual is that column's cost minus its reduced
-cost. The certificate is re-verified against the original constraints
-before being returned.
+cost. The certificate is returned unchecked; verify_farkas checks it
+against the original constraints.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class SimplexResult:
     """Solve outcome plus read-only access to the final tableau.
 
     For optimal results x is a basic feasible solution, i.e. a vertex of
-    the feasible region. For infeasible ones farkas holds one multiplier
-    per original constraint certifying emptiness (see verify_farkas).
+    the feasible region. For infeasible ones farkas holds one unchecked
+    multiplier per original constraint; verify_farkas checks them.
     """
 
     def __init__(self, status: str, num_vars: int, *, x=None, objective=None,
@@ -233,7 +233,8 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
     inside the optimal face, minimizing tiebreak.x there (lexicographic
     optimization), and returns a vertex optimal for the objective and,
     among those, for the tiebreak. If the face is unbounded along the
-    tiebreak the last vertex reached is returned.
+    tiebreak the last vertex reached is returned. An infeasible result's
+    farkas multipliers are unchecked: check them with verify_farkas.
     """
     obj = [_frac(c) for c in objective]
     costs = [obj]
@@ -305,9 +306,6 @@ def solve_lp(num_vars: int, constraints: Sequence[Constraint],
             lam = tuple(
                 (int(b >= width) - Fraction(rows[m].get(b, 0), core.dens[m]))
                 * scale for b, scale in zip(start, scales))
-            ok, why = verify_farkas(num_vars, constraints, lam)
-            if not ok:
-                raise RuntimeError(f"internal error: bad Farkas certificate: {why}")
             return SimplexResult("infeasible", num_vars, farkas=lam,
                                  pivots=pivots, core=core)
         del rows[m], core.dens[m]

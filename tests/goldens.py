@@ -153,6 +153,13 @@ BENCHMARK_ANALYZE_DERIVED_REMAP = {
 BENCHMARK_PIVOTS = 31
 BENCHMARK_ALTERNATE_OPTIMA = 0
 
+# Pivots with Bland's rule from the first degenerate pivot on, as under
+# _DEGENERATE_STREAK_LIMIT = 0, against Dantzig's rule: Beale's cycling
+# example takes the same six pivots either way; the benchmark user's LP
+# takes 56 against BENCHMARK_PIVOTS.
+BEALE_PIVOTS = 6
+BLAND_PIVOTS = dict(beale=6, benchmark=56)
+
 # check_counterexample_infeasibility(alpha) at alpha 1/2 (infeasible) and
 # 1/4 (feasible): the final basis, basic values, Farkas multipliers and
 # vertex, each written as the str() of its entries joined by spaces (None

@@ -2,6 +2,7 @@
 battery, remap derivation, factorization, and uniqueness."""
 
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -13,6 +14,7 @@ from privopt import (
     LossFunction,
     Mechanism,
     PrivacyLevel,
+    Remap,
     StructuralError,
     UserModel,
     compose,
@@ -22,6 +24,8 @@ from privopt import (
     verify_uniqueness,
 )
 from privopt import analysis, optlp
+from privopt.cli import main
+from privopt.optlp import ConstraintMatrix
 from privopt.analysis import (
     constraint_matrix,
     derive_remap_from_constraint_matrix,
@@ -202,6 +206,56 @@ class TestFactorization:
             assert chk.ok, (n, alpha, u)
 
 
+class TestNegativeControls:
+    """Each verdict fails on an input made to fail it."""
+
+    @pytest.fixture
+    def shifted_remap(self, monkeypatch):
+        # response 0 of the geometric mechanism is reachable from every
+        # result; send it to the last target, or to the first if it
+        # already goes there
+        real = analysis.optimal_remap
+
+        def shifted(x, u, digits=None):
+            y = real(x, u, digits)
+            first, last = y.targets[0], y.targets[-1]
+            mapping = (last if y.mapping[0] != last else first,) + y.mapping[1:]
+            return Remap(y.sources, y.targets, mapping)
+
+        monkeypatch.setattr(analysis, "optimal_remap", shifted)
+
+    def test_shifted_remap_fails_losses_match(self, shifted_remap):
+        u = UserModel(prior=(F(1, 4),) * 4, loss=LossFunction.absolute())
+        chk = verify_factorization(u, ALPHA_HALF)
+        assert chk.remap.mapping == (3, 1, 2, 3)
+        assert not chk.losses_match
+        assert chk.structure.ok and chk.reconstruction_ok
+        assert not chk.ok
+
+    def test_shifted_remap_fails_the_sweep(self, shifted_remap, tmp_path):
+        report = tmp_path / "sweep.json"
+        rc = main(["verify", "theorem1", "--n", "4", "--trials", "6",
+                   "--seed", "11", "--report", str(report)])
+        assert rc == 2
+        trials = json.loads(report.read_text())["trials"]
+        # every loss kind, fractional powers included
+        assert {rec["user"]["loss"]["kind"] for rec in trials} == {
+            "absolute", "squared", "binary", "power"}
+        for rec in trials:
+            assert rec["structure_ok"] and rec["reconstruction_ok"]
+            assert not rec["losses_match"] and rec["verdict"] == "fail"
+
+    def test_mixed_zero_column_rejected(self):
+        c = ConstraintMatrix(2, (0, 1), (("Z", "v"), ("v", "^")))
+        with pytest.raises(StructuralError, match="mixes Z"):
+            validate_vertex_structure(c)
+
+    def test_uncovered_response_rejected(self):
+        with pytest.raises(StructuralError,
+                           match="does not cover every response"):
+            derive_remap_from_constraint_matrix(ConstraintMatrix(0, (), ()))
+
+
 class TestOffFamilyVertices:
     """Feasible vertices outside the geometric family exist, but the
     solver never returns one."""
@@ -250,6 +304,14 @@ class TestUniqueness:
                             (F(1, 4), F(1, 2), F(1, 4))))
         with pytest.raises(StructuralError, match="response column"):
             verify_uniqueness(ALPHA_HALF, m)
+
+    def test_rejects_non_stochastic(self):
+        m = Mechanism(n=1, responses=(0, 1),
+                      rows=((F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))))
+        with pytest.raises(StructuralError) as err:
+            verify_uniqueness(ALPHA_HALF, m)
+        assert str(err.value) == ("candidate is not row-stochastic: "
+                                  "row 1 sums to 3/4")
 
 
 class TestRandomUser:

@@ -9,7 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from privopt.cli import main
+from privopt import nonoblivious, simplex
+from privopt.cli import MAX_PRECISION, main
 from privopt.serialize import dumps, mechanism_to_jsonable, user_to_jsonable
 
 from goldens import (
@@ -252,6 +253,24 @@ class TestCounterexample:
         rc = main(["nonoblivious", "counterexample", "--alpha", "1/100"])
         assert rc == 2
 
+    def test_failed_certificate_is_reported(self, tmp_path, capsys,
+                                            monkeypatch):
+        for module in (simplex, nonoblivious):
+            monkeypatch.setattr(module, "verify_farkas",
+                                lambda *args: (False, "forced"))
+        report = tmp_path / "cert.json"
+        rc = main(["nonoblivious", "counterexample", "--report", str(report)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "certificate re-verified exactly: False" in out
+        assert "Traceback" not in out + err
+        cert = json.loads(report.read_text())
+        assert cert["infeasible"] is True
+        assert cert["certificate_verified"] is False
+        assert cert["detail"] == ("solver reported infeasible but the "
+                                  "witness failed: forced")
+        assert cert["multipliers"]
+
     def test_alpha_one_is_usage_error(self, capsys):
         rc = main(["nonoblivious", "counterexample", "--alpha", "1"])
         assert rc == 1
@@ -342,3 +361,22 @@ class TestUsage:
                      "--precision", "0"]) == 1
         assert "error: --precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("precision",
+                             [MAX_PRECISION + 1, 10 ** 20], ids=str)
+    @pytest.mark.parametrize("command", [
+        ["optimal", "--alpha", "1/2", "--user", "{user}"],
+        ["remap", "--mech", "{mech}", "--user", "{user}"],
+        ["verify", "theorem1", "--n", "2", "--trials", "2"],
+        ["compare-laplace", "--alphas", "1/2"],
+    ], ids=lambda argv: argv[0])
+    def test_precision_above_bound(self, capsys, user_file, mech_file,
+                                   command, precision):
+        argv = [a.format(user=user_file, mech=mech_file) for a in command]
+        assert main(argv + ["--precision", str(precision)]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: --precision must be from 1 to {MAX_PRECISION}\n"
+        assert out == ""
+
+    def test_precision_at_bound(self, capsys):
+        assert main(["compare-laplace", "--alphas", "1/2",
+                     "--precision", str(MAX_PRECISION)]) == 0

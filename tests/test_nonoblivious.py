@@ -145,8 +145,10 @@ class TestObliviate:
         sp = binary_space(2)
         rows = tuple((F(1, 2), F(1, 4)) for _ in sp.databases)
         x = FullMechanism(sp, (0, 1), rows)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError) as err:
             obliviate(x)
+        assert str(err.value) == "not row-stochastic: " + "; ".join(
+            f"row {x.space.label(j)} sums to 3/4" for j in range(4))
 
 
 class TestWorstCaseLoss:

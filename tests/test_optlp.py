@@ -9,6 +9,7 @@ import pytest
 
 from privopt import (
     LossFunction,
+    Mechanism,
     PrivacyLevel,
     UserModel,
     check_differential_privacy,
@@ -45,6 +46,23 @@ class TestBuildLP:
         # p_0 * 2^1.5 at (i=0, r=2), rationalized at working precision
         want = F(1, 4) * F(hp_context(None).sqrt(Decimal(8)))
         assert abs(lp.objective[0][2] - want) < F(1, 10 ** 50)
+
+    def test_value_reads_each_entry_at_its_response(self):
+        lp = build_lp(BENCHMARK_USER, ALPHA_HALF)
+        g = truncated_geometric(ALPHA_HALF, 5)
+        want = sum(lp.objective[i][r] * g.rows[i][r]
+                   for i in range(6) for r in range(6))
+        order = (3, 0, 5, 1, 4, 2)
+        shuffled = Mechanism(n=5, responses=order,
+                             rows=tuple(tuple(row[r] for r in order)
+                                        for row in g.rows))
+        assert lp.value(g) == lp.value(shuffled) == want
+
+    def test_value_is_the_expected_loss_of_a_rational_loss(self):
+        u = UserModel(prior=(F(1, 2), F(1, 4), F(1, 4)),
+                      loss=LossFunction(kind="squared"))
+        g = truncated_geometric(ALPHA_HALF, 2)
+        assert build_lp(u, ALPHA_HALF).value(g) == expected_loss(g, u)
 
 
 class TestSolveVertex:

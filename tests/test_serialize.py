@@ -159,6 +159,46 @@ class TestSpaceAndFullMechanism:
             full_mechanism_from_jsonable(data)
 
 
+_SPACE = {"domain": [0, 1], "rows": 1, "positive": [1]}
+
+# (parser, input with one bad label, the path its error names)
+_BAD_LABELS = [
+    (mechanism_from_jsonable,
+     {"n": 0, "responses": [True], "rows": [["1"]]},
+     "mechanism.responses[0]"),
+    (remap_from_jsonable,
+     {"sources": [0, 1.5], "targets": [0], "rows": [["1"], ["1"]]},
+     "remap.sources[1]"),
+    (remap_from_jsonable,
+     {"sources": [0], "targets": [None], "rows": [["1"]]},
+     "remap.targets[0]"),
+    (space_from_jsonable, dict(_SPACE, domain=[0, [1]]), "space.domain[1]"),
+    (space_from_jsonable, dict(_SPACE, positive=[False]),
+     "space.positive[0]"),
+    (full_mechanism_from_jsonable,
+     {"space": _SPACE, "responses": [0, {}], "rows": []},
+     "full_mechanism.responses[1]"),
+]
+
+
+class TestLabels:
+    """Every label list is checked by one rule, with the same error."""
+
+    @pytest.mark.parametrize("parse, data, path", _BAD_LABELS,
+                             ids=[path for _, _, path in _BAD_LABELS])
+    def test_bad_label_named(self, parse, data, path):
+        with pytest.raises(FormatError) as err:
+            parse(data)
+        assert err.value.path == path
+        assert str(err.value) == (f"{path}: response labels must be "
+                                  "integers or strings")
+
+    def test_label_list_must_be_an_array(self):
+        with pytest.raises(FormatError) as err:
+            space_from_jsonable(dict(_SPACE, positive="1"))
+        assert str(err.value) == "space.positive: expected an array, got str"
+
+
 class TestFiles:
     def test_canonical_dumps_stable(self):
         data = mechanism_to_jsonable(truncated_geometric(ALPHA_HALF, 1))

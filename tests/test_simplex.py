@@ -6,16 +6,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privopt import LossFunction, PrivacyLevel, UserModel, optlp
+from privopt import LossFunction, PrivacyLevel, UserModel, optlp, simplex
 from privopt.nonoblivious import check_counterexample_infeasibility
 from privopt.optlp import optimal_mechanism_for_user
 from privopt.simplex import EQ, GE, LE, Constraint, solve_lp, verify_farkas
 
 from goldens import (
     ALPHA_HALF,
+    BEALE_PIVOTS,
     BENCHMARK_ALTERNATE_OPTIMA,
     BENCHMARK_PIVOTS,
     BENCHMARK_USER,
+    BLAND_PIVOTS,
     COUNTEREXAMPLE_PATH_HALF,
     COUNTEREXAMPLE_PATH_QUARTER,
     MIXED_SIGN_LP,
@@ -42,17 +44,44 @@ def test_textbook_two_var_max():
     assert res.objective == -36
 
 
+# classic cycling-prone instance (Beale 1955)
+BEALE = [
+    Constraint((F(1, 4), F(-8), F(-1), F(9)), LE, F(0)),
+    Constraint((F(1, 2), F(-12), F(-1, 2), F(3)), LE, F(0)),
+    Constraint((F(0), F(0), F(1), F(0)), LE, F(1)),
+]
+BEALE_OBJECTIVE = [F(-3, 4), F(20), F(-1, 2), F(6)]
+
+
 def test_degenerate_vertex_terminates():
-    # classic cycling-prone instance (Beale); Bland fallback must finish
-    cons = [
-        Constraint((F(1, 4), F(-8), F(-1), F(9)), LE, F(0)),
-        Constraint((F(1, 2), F(-12), F(-1, 2), F(3)), LE, F(0)),
-        Constraint((F(0), F(0), F(1), F(0)), LE, F(1)),
-    ]
-    obj = [F(-3, 4), F(20), F(-1, 2), F(6)]
-    res = solve_lp(4, cons, obj)
+    res = solve_lp(4, BEALE, BEALE_OBJECTIVE)
     assert res.status == "optimal"
     assert res.objective == F(-5, 4)
+    assert res.pivots == BEALE_PIVOTS
+
+
+class TestBlandRule:
+    """With _DEGENERATE_STREAK_LIMIT at 0 the first degenerate pivot
+    switches the solve to Bland's rule for good; it must end on the same
+    optimum and vertex as Dantzig's rule."""
+
+    def test_beale(self, monkeypatch):
+        dantzig = solve_lp(4, BEALE, BEALE_OBJECTIVE)
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", 0)
+        bland = solve_lp(4, BEALE, BEALE_OBJECTIVE)
+        assert bland.status == "optimal"
+        assert (bland.x, bland.objective) == (dantzig.x, dantzig.objective)
+        assert bland.pivots == BLAND_PIVOTS["beale"]
+
+    def test_benchmark_user(self, monkeypatch):
+        dantzig = optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF)
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", 0)
+        bland = optimal_mechanism_for_user(BENCHMARK_USER, ALPHA_HALF)
+        assert bland.mechanism == dantzig.mechanism
+        assert bland.lp_objective == dantzig.lp_objective
+        assert bland.objective == dantzig.objective
+        assert dantzig.pivots == BENCHMARK_PIVOTS
+        assert bland.pivots == BLAND_PIVOTS["benchmark"]
 
 
 def test_equality_constraints_via_phase1():
@@ -148,6 +177,14 @@ def test_farkas_rejects_bogus_multipliers():
     assert not ok
     ok, _ = verify_farkas(2, cons, [F(1), F(1)])  # wrong sign on <= row
     assert not ok
+
+
+def test_farkas_rejects_positive_first_column():
+    # x0 - x1 >= 1 is feasible; with multiplier 1 every test passes but
+    # the sign of combined coefficient 0, which is +1
+    cons = [Constraint((F(1), F(-1)), GE, F(1))]
+    assert verify_farkas(2, cons, [F(1)]) == (
+        False, "combined coefficient 0 is positive")
 
 
 def test_exactness_no_drift():
